@@ -1,8 +1,9 @@
 """From a descent set to a ribbon to a determinant to a count.
 
 Words with a prescribed descent set are fillings of a staircase-like skew
-shape with no 2x2 block.  The count is then a signed sum over permutations
-of products of bounded-multiset counts, one factor per nonzero degree.
+shape with no 2x2 block.  The count is then a sum over the signed
+coarsenings of the row lengths of products of bounded-multiset counts, one
+factor per merged row length.
 """
 from multidescent import (
     DescentSet,
@@ -29,14 +30,13 @@ for outer_len, inner_len in zip(shape.outer.parts, inner):
 
 print("\ndeterminant expansion (sign, degrees of the factors):")
 total = 0
-for term in jacobi_trudi_terms(shape):
+for sign, degrees in jacobi_trudi_terms(shape):
     # each factor h_d stands for the weakly increasing words of length d
     # over 1..n; the whole term contributes the matrices with those row
     # sums whose columns each sum to m, one contingency count per term
-    value = rect_coeff(term.h_degrees, n, m)
-    total += term.sign * value
-    sign = "+" if term.sign > 0 else "-"
-    print(f"  {sign} h{list(term.h_degrees)} -> {value}")
+    value = rect_coeff(degrees, n, m)
+    total += sign * value
+    print(f"  {'+' if sign > 0 else '-'} h{list(degrees)} -> {value}")
 
 print(f"\nsigned total      : {total}")
 print(f"direct count      : {count_naive(ds, n, m)}")

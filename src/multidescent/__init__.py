@@ -49,7 +49,6 @@ from .polybasis import (
     sign_survey,
 )
 from .schur import (
-    DetTerm,
     Partition,
     RibbonShape,
     count_via_jacobi_trudi,
@@ -67,7 +66,6 @@ __all__ = [
     "ConsistencyError",
     "DEFAULT_BUDGET",
     "DescentSet",
-    "DetTerm",
     "DomainError",
     "EnumerationBudget",
     "Partition",

@@ -10,7 +10,7 @@ position 2.  All arithmetic is exact (Python ints only).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class DomainError(ValueError):
@@ -25,11 +25,28 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; this signals a bug, not bad input."""
 
 
+def require_positive(**named: int) -> None:
+    """Raise DomainError unless every named argument is at least 1."""
+    for name, value in named.items():
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1, got {value}")
+
+
+def strict_ints(values: Iterable[object], what: str) -> tuple[int, ...]:
+    """The values as a tuple; a non-``int`` or a ``bool`` is never coerced."""
+    items = tuple(values)
+    for x in items:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise DomainError(f"{what} must be integers, got {x!r}")
+    return items
+
+
 @dataclass(frozen=True)
 class DescentSet:
     """A finite set of descent positions, kept strictly increasing.
 
-    Duplicates in the input collapse (set semantics).  The derived data used
+    Duplicates in the input collapse (set semantics).  Elements must be
+    ``int`` and not ``bool``; nothing is coerced.  The derived data used
     by the counting routes hangs off this type: the largest position, the set
     without it, the longest block of consecutive positions, and the first
     differences measured from zero.
@@ -38,7 +55,7 @@ class DescentSet:
     elements: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        items = tuple(sorted({int(x) for x in self.elements}))
+        items = tuple(sorted(set(strict_ints(self.elements, "descent positions"))))
         if items and items[0] < 1:
             raise DomainError(f"descent positions must be >= 1, got {items[0]}")
         object.__setattr__(self, "elements", items)

@@ -8,8 +8,9 @@ these must match.
 from __future__ import annotations
 
 from math import factorial, prod
+from typing import Callable, Iterator, Sequence
 
-from .core import DescentSet, DomainError, block_sums, compositions
+from .core import DescentSet, DomainError, block_sums, compositions, require_positive
 from .oracle import count_content
 
 
@@ -46,7 +47,7 @@ def bounded_sequence_count(descents: DescentSet, n: int, m: int) -> int:
     """
     if not descents:
         raise DomainError("bounded counting needs a non-empty descent set")
-    _require_positive(n=n, m=m)
+    require_positive(n=n, m=m)
     return _bounded_total(descents, n, m, {})
 
 
@@ -74,7 +75,7 @@ def descent_count(descents: DescentSet, n: int, m: int) -> int:
     final compared position does or does not drop.  A level whose largest
     element has no successor position contributes zero outright.
     """
-    _require_positive(n=n, m=m)
+    require_positive(n=n, m=m)
     chain = []
     cur = descents
     while cur:
@@ -91,6 +92,31 @@ def descent_count(descents: DescentSet, n: int, m: int) -> int:
     return value
 
 
+def signed_coarsenings(weights: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield ``(sign, sums)`` for each way of merging runs of adjacent weights.
+
+    ``sign`` is -1 to the number of merges, len(weights) - len(sums); there
+    are 2**(len(weights)-1) coarsenings, the finest first.
+    """
+    k = len(weights)
+    for parts in compositions(k):
+        sums = block_sums(weights, parts)
+        yield (-1 if (k - len(sums)) % 2 else 1), sums
+
+
+def _alternating_sum(descents: DescentSet, n: int, last: Callable[[int], int]) -> int:
+    """Coarsening sum: binom(n-1+q, q) per block sum q, ``last(q)`` for the last."""
+    if not descents:
+        raise DomainError("the closed form needs a non-empty descent set")
+    total = 0
+    for sign, sums in signed_coarsenings(descents.first_differences):
+        term = sign * last(sums[-1])
+        for q in sums[:-1]:
+            term *= binom_poly(n - 1 + q, q)
+        total += term
+    return total
+
+
 def last_fixed_formula(descents: DescentSet, n: int, j: int) -> int:
     """Alternating composition sum for the words whose last value is ``j``.
 
@@ -98,23 +124,10 @@ def last_fixed_formula(descents: DescentSet, n: int, j: int) -> int:
     descent set minus its largest element and final value j.  Agrees with
     the brute-force count once n >= largest.
     """
-    if not descents:
-        raise DomainError("the formula needs a non-empty descent set")
-    _require_positive(n=n)
+    require_positive(n=n)
     if not 1 <= j <= n:
         raise DomainError(f"last value {j} outside 1..{n}")
-    t = len(descents)
-    steps = descents.first_differences
-    total = 0
-    for parts in compositions(t):
-        sums = block_sums(steps, parts)
-        term = -1 if (t - len(sums)) % 2 else 1
-        for q in sums[:-1]:
-            term *= binom_poly(n - 1 + q, q)
-        last = sums[-1]
-        term *= binom_poly(j - 2 + last, last - 1)
-        total += term
-    return total
+    return _alternating_sum(descents, n, lambda q: binom_poly(j - 2 + q, q - 1))
 
 
 def stable_descent_count(descents: DescentSet, n: int) -> int:
@@ -127,23 +140,4 @@ def stable_descent_count(descents: DescentSet, n: int) -> int:
     value above 1.  Negative and small n evaluate the same polynomial, which
     is what the coefficient extraction relies on.
     """
-    if not descents:
-        raise DomainError("the stabilized count needs a non-empty descent set")
-    t = len(descents)
-    steps = descents.first_differences
-    total = 0
-    for parts in compositions(t):
-        sums = block_sums(steps, parts)
-        term = -1 if (t - len(sums)) % 2 else 1
-        for q in sums[:-1]:
-            term *= binom_poly(n - 1 + q, q)
-        last = sums[-1]
-        term *= binom_poly(n - 1 + last, last) - 1
-        total += term
-    return total
-
-
-def _require_positive(**named: int) -> None:
-    for name, value in named.items():
-        if value < 1:
-            raise DomainError(f"{name} must be >= 1, got {value}")
+    return _alternating_sum(descents, n, lambda q: binom_poly(n - 1 + q, q) - 1)

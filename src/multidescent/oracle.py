@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import BudgetExceededError, DescentSet, DomainError
+from .core import BudgetExceededError, DescentSet, DomainError, require_positive
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,6 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
-def _require_positive(**named: int) -> None:
-    for name, value in named.items():
-        if value < 1:
-            raise DomainError(f"{name} must be >= 1, got {value}")
-
-
 def count_naive(
     descents: DescentSet, n: int, m: int, budget: EnumerationBudget | None = None
 ) -> int:
@@ -47,7 +41,7 @@ def count_naive(
     next-permutation from the sorted word, and checks the descent pattern
     directly.  Refuses to start when n*m exceeds the budget.
     """
-    _require_positive(n=n, m=m)
+    require_positive(n=n, m=m)
     budget = budget or DEFAULT_BUDGET
     cells = n * m
     if cells > budget.max_total_cells:
@@ -97,7 +91,7 @@ def count_prefix(
     """
     if not descents:
         raise DomainError("prefix counting needs a non-empty descent set")
-    _require_positive(n=n, m=m)
+    require_positive(n=n, m=m)
     length = descents.largest
     if length >= n * m:
         return 0  # no successor position left for the final descent
@@ -209,7 +203,7 @@ def count_last_fixed(descents: DescentSet, n: int, j: int) -> int:
     """
     if not descents:
         raise DomainError("last-fixed counting needs a non-empty descent set")
-    _require_positive(n=n)
+    require_positive(n=n)
     if not 1 <= j <= n:
         raise DomainError(f"last value {j} outside 1..{n}")
     drops = frozenset(descents.without_largest.elements)

@@ -3,29 +3,30 @@
 The descent pattern of a multiset word corresponds to a border strip (a
 connected skew shape with no 2x2 block).  The count equals the coefficient
 of the rectangular monomial x1^m ... xn^m in the skew Schur function of that
-strip, and the Jacobi-Trudi identity turns the Schur function into a signed
-sum of products of complete homogeneous symmetric functions.  Extracting the
-monomial from each product reduces to counting nonnegative integer matrices
-with fixed row and column sums.
+strip, and the Jacobi-Trudi identity turns the Schur function into a sum
+of products of complete homogeneous symmetric functions, one per signed
+coarsening of the row lengths.  Extracting the monomial from each product
+reduces to counting nonnegative integer matrices with fixed row and column
+sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator, Sequence
 
-from .core import DescentSet, DomainError
+from .core import DescentSet, DomainError, require_positive, strict_ints
+from .formulas import signed_coarsenings
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Weakly decreasing nonnegative parts; trailing zeros are trimmed."""
+    """Weakly decreasing nonnegative ``int`` parts; trailing zeros are trimmed."""
 
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        cleaned = tuple(int(p) for p in self.parts)
+        cleaned = strict_ints(self.parts, "partition parts")
         while cleaned and cleaned[-1] == 0:
             cleaned = cleaned[:-1]
         if any(p < 0 for p in cleaned):
@@ -88,7 +89,7 @@ def ribbon_shape(descents: DescentSet, n: int, m: int) -> RibbonShape:
     """
     if not descents:
         raise DomainError("a ribbon shape needs a non-empty descent set")
-    _require_positive(n=n, m=m)
+    require_positive(n=n, m=m)
     cells = n * m
     head = cells - descents.largest
     if head < 1:
@@ -105,40 +106,11 @@ def ribbon_shape(descents: DescentSet, n: int, m: int) -> RibbonShape:
     return RibbonShape(Partition(tuple(lam)), Partition(tuple(mu)))
 
 
-@dataclass(frozen=True)
-class DetTerm:
-    """One surviving term of the expanded determinant: a sign times a
-    product of complete homogeneous functions of the recorded degrees.
-    Degree-zero factors are the identity and are dropped."""
-
-    sign: int
-    h_degrees: tuple[int, ...]
-
-
-def jacobi_trudi_terms(shape: RibbonShape) -> Iterator[DetTerm]:
-    """Expand det[h(outer_i - inner_j - i + j)] as a sum over permutations.
-
-    A term containing a negative degree vanishes (h of negative degree is
-    zero) and is omitted from the stream.
-    """
-    lam = shape.outer.parts
-    k = len(lam)
-    mu = shape.inner.padded(k)
-    for perm in permutations(range(k)):
-        degrees = [lam[i] - mu[perm[i]] - i + perm[i] for i in range(k)]
-        if any(d < 0 for d in degrees):
-            continue
-        yield DetTerm(_sign(perm), tuple(d for d in degrees if d > 0))
-
-
-def _sign(perm: Sequence[int]) -> int:
-    flips = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if flips % 2 else 1
+def jacobi_trudi_terms(shape: RibbonShape) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Expand det[h(outer_i - inner_j - i + j)] into ``(sign, degrees)`` terms:
+    for a ribbon these are the signed coarsenings of the row lengths, top to
+    bottom (Stanley, EC2 7.23), so every degree is positive."""
+    yield from signed_coarsenings(shape.row_lengths)
 
 
 def rect_coeff(h_degrees: Sequence[int], n: int, m: int) -> int:
@@ -151,7 +123,7 @@ def rect_coeff(h_degrees: Sequence[int], n: int, m: int) -> int:
     degrees never changes the answer.  Zero whenever the degrees do not sum
     to n*m.
     """
-    _require_positive(n=n, m=m)
+    require_positive(n=n, m=m)
     degrees = tuple(int(d) for d in h_degrees)
     if any(d < 0 for d in degrees):
         raise DomainError("degrees must be nonnegative")
@@ -211,12 +183,5 @@ def count_via_jacobi_trudi(descents: DescentSet, n: int, m: int) -> int:
     """
     shape = ribbon_shape(descents, n, m)
     return sum(
-        term.sign * rect_coeff(term.h_degrees, n, m)
-        for term in jacobi_trudi_terms(shape)
+        sign * rect_coeff(degrees, n, m) for sign, degrees in jacobi_trudi_terms(shape)
     )
-
-
-def _require_positive(**named: int) -> None:
-    for name, value in named.items():
-        if value < 1:
-            raise DomainError(f"{name} must be >= 1, got {value}")

@@ -229,11 +229,15 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     assert "always wrong" in captured.out
 
 
-def test_installed_entry_point_round_trip():
+@pytest.mark.parametrize(
+    "launch",
+    [["-c", "from multidescent.cli import console; console()"], ["-m", "multidescent"]],
+    ids=["console", "module"],
+)
+def test_installed_entry_point_round_trip(launch):
     proc = subprocess.run(
         [
-            sys.executable, "-c",
-            "from multidescent.cli import console; console()",
+            sys.executable, *launch,
             "count", "--set", "2", "--n", "3", "--m", "2", "--format", "json",
         ],
         capture_output=True,

@@ -54,6 +54,12 @@ def test_descent_set_rejects_nonpositive_positions():
         DescentSet((-1,))
 
 
+@pytest.mark.parametrize("elements", [(2.7, True), ("3",), (True,), (2, 3.0)])
+def test_descent_set_rejects_non_int_elements(elements):
+    with pytest.raises(DomainError):
+        DescentSet(elements)
+
+
 def test_descent_set_str():
     assert str(DescentSet((2, 4, 5))) == "{2,4,5}"
     assert str(DescentSet()) == "{}"

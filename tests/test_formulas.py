@@ -4,6 +4,8 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multidescent.core import DescentSet, DomainError
 from multidescent.formulas import (
@@ -11,6 +13,7 @@ from multidescent.formulas import (
     bounded_sequence_count,
     descent_count,
     last_fixed_formula,
+    signed_coarsenings,
     stabilization_point,
     stable_descent_count,
 )
@@ -61,6 +64,26 @@ def test_binom_poly_order_zero_is_one():
 def test_binom_poly_rejects_negative_order():
     with pytest.raises(DomainError):
         binom_poly(4, -1)
+
+
+def test_signed_coarsenings_known_weights():
+    assert list(signed_coarsenings((1, 2, 3))) == [
+        (1, (1, 2, 3)),
+        (-1, (1, 5)),
+        (-1, (3, 3)),
+        (1, (6,)),
+    ]
+
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=7))
+def test_signed_coarsenings_laws(weights):
+    terms = list(signed_coarsenings(weights))
+    assert len(terms) == 2 ** (len(weights) - 1)
+    assert len({sums for _, sums in terms}) == len(terms)
+    for sign, sums in terms:
+        assert sum(sums) == sum(weights)
+        merges = len(weights) - len(sums)
+        assert sign == (-1) ** merges
 
 
 def test_stabilization_point_known_values():

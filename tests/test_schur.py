@@ -1,6 +1,7 @@
 """Ribbon construction, determinant expansion, and monomial extraction."""
 
-from itertools import product
+from collections import Counter
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from multidescent.core import DescentSet, DomainError
 from multidescent.oracle import count_naive
 from multidescent.schur import (
-    DetTerm,
     Partition,
     RibbonShape,
     count_via_jacobi_trudi,
@@ -34,6 +34,24 @@ def matrices_direct(row_sums, n, m):
     return count
 
 
+def permutation_terms(shape):
+    """Independent witness for the determinant: expand
+    det[h(outer_i - inner_j - i + j)] over every permutation, dropping terms
+    with a negative degree and degree-zero factors, and total the signs per
+    sorted degree multiset."""
+    lam = shape.outer.parts
+    k = len(lam)
+    mu = shape.inner.padded(k)
+    totals = Counter()
+    for perm in permutations(range(k)):
+        degrees = [lam[i] - mu[perm[i]] - i + perm[i] for i in range(k)]
+        if any(d < 0 for d in degrees):
+            continue
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(k), 2))
+        totals[tuple(sorted(d for d in degrees if d))] += (-1) ** inversions
+    return {key: value for key, value in totals.items() if value}
+
+
 def test_partition_trims_trailing_zeros():
     assert Partition((5, 2, 0, 0)).parts == (5, 2)
     assert Partition(()).parts == ()
@@ -45,6 +63,12 @@ def test_partition_rejects_bad_parts():
         Partition((2, 3))
     with pytest.raises(DomainError):
         Partition((3, -1))
+
+
+@pytest.mark.parametrize("parts", [(2.9, 1.2), (True,), (3, "1")])
+def test_partition_rejects_non_int_parts(parts):
+    with pytest.raises(DomainError):
+        Partition(parts)
 
 
 def test_ribbon_shape_three_descents():
@@ -114,28 +138,45 @@ def test_ribbon_shape_rejects_broken_overlaps_directly():
 
 def test_jacobi_trudi_terms_two_rows():
     shape = RibbonShape(Partition((5, 2)), Partition((1,)))
-    terms = sorted((t.sign, t.h_degrees) for t in jacobi_trudi_terms(shape))
+    terms = sorted(jacobi_trudi_terms(shape))
     assert terms == [(-1, (6,)), (1, (4, 2))]
 
 
 def test_jacobi_trudi_terms_vertical_domino():
     shape = RibbonShape(Partition((1, 1)), Partition(()))
-    terms = sorted((t.sign, t.h_degrees) for t in jacobi_trudi_terms(shape))
+    terms = sorted(jacobi_trudi_terms(shape))
     assert terms == [(-1, (2,)), (1, (1, 1))]
 
 
 def test_jacobi_trudi_degree_zero_factors_are_dropped():
     shape = RibbonShape(Partition((2, 1)), Partition(()))
-    terms = {t.h_degrees: t.sign for t in jacobi_trudi_terms(shape)}
+    terms = {degrees: sign for sign, degrees in jacobi_trudi_terms(shape)}
     assert terms == {(2, 1): 1, (3,): -1}
 
 
 def test_jacobi_trudi_terms_preserve_total_degree():
     shape = ribbon_shape(DescentSet((2, 4)), 3, 2)
-    for term in jacobi_trudi_terms(shape):
-        assert sum(term.h_degrees) == 6
-        assert term.sign in (-1, 1)
-        assert isinstance(term, DetTerm)
+    for sign, degrees in jacobi_trudi_terms(shape):
+        assert sum(degrees) == 6
+        assert sign in (-1, 1)
+
+
+def test_jacobi_trudi_terms_match_the_permutation_expansion():
+    shapes = 0
+    for top in range(1, 7):
+        for size in range(1, top + 1):
+            for inner in combinations(range(1, top), size - 1):
+                ds = DescentSet(inner + (top,))
+                for head in (1, 2, 4):
+                    shape = ribbon_shape(ds, head + top, 1)
+                    terms = list(jacobi_trudi_terms(shape))
+                    totals = Counter()
+                    for sign, degrees in terms:
+                        totals[tuple(sorted(degrees))] += sign
+                    assert dict(totals) == permutation_terms(shape), (ds, head)
+                    assert len(terms) == 2 ** (shape.row_count - 1)
+                    shapes += 1
+    assert shapes == 3 * 63
 
 
 def test_rect_coeff_frozen_values():
