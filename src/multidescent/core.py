@@ -139,15 +139,21 @@ def compositions(total: int, max_part: int | None = None) -> Iterator[tuple[int,
     if total < 1:
         return
     bound = total if max_part is None else max_part
-
-    def emit(remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield prefix
+    parts = [1] * total
+    while True:
+        yield tuple(parts)
+        # The rightmost part but the last that is below the bound: everything
+        # after it is already the largest tail its sum allows, so the next
+        # composition grows that part by one and restarts the tail as ones.
+        i = len(parts) - 2
+        while i >= 0 and parts[i] == bound:
+            i -= 1
+        if i < 0:
             return
-        for first in range(1, min(remaining, bound) + 1):
-            yield from emit(remaining - first, prefix + (first,))
-
-    yield from emit(total, ())
+        tail = sum(parts[i + 1 :]) - 1
+        parts[i] += 1
+        del parts[i + 1 :]
+        parts.extend([1] * tail)
 
 
 def block_sums(weights: Sequence[int], parts: Sequence[int]) -> tuple[int, ...]:

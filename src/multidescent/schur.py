@@ -5,14 +5,17 @@ connected skew shape with no 2x2 block).  The count equals the coefficient
 of the rectangular monomial x1^m ... xn^m in the skew Schur function of that
 strip, and the Jacobi-Trudi identity turns the Schur function into a sum
 of products of complete homogeneous symmetric functions, one per signed
-coarsening of the row lengths.  Extracting the monomial from each product
-reduces to counting nonnegative integer matrices with fixed row and column
-sums.
+coarsening of the row lengths.  A product's coefficient counts nonnegative
+integer matrices with those row sums and n columns each summing to m.
+Terms with equal degree multisets are netted first, and one signed forward
+DP then fills the columns for all the surviving terms at once, so a state
+of outstanding row sums is solved once per determinant, not once per term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterator, Sequence
 
 from .core import DescentSet, DomainError, require_positive, strict_ints
@@ -118,70 +121,81 @@ def rect_coeff(h_degrees: Sequence[int], n: int, m: int) -> int:
     symmetric functions of the given degrees, over n variables.
 
     Equals the number of nonnegative integer matrices with these row sums
-    whose n columns each sum to m.  Counted column by column; the state is
-    the sorted vector of row sums still outstanding, so permuting the
-    degrees never changes the answer.  Zero whenever the degrees do not sum
-    to n*m.
+    whose n columns each sum to m.  The degrees must be nonnegative ``int``
+    values (nothing is coerced), and the answer is zero whenever they do not
+    sum to n*m.  Counted by the determinant route's forward column DP,
+    started from this one product with weight 1.
     """
     require_positive(n=n, m=m)
-    degrees = tuple(int(d) for d in h_degrees)
+    degrees = strict_ints(h_degrees, "degrees")
     if any(d < 0 for d in degrees):
         raise DomainError("degrees must be nonnegative")
     if sum(degrees) != n * m:
         return 0
-    start = tuple(sorted(d for d in degrees if d))
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    return _signed_fill({tuple(sorted(d for d in degrees if d)): 1}, n, m)
 
-    def fill(columns: int, outstanding: tuple[int, ...]) -> int:
-        if columns == 0:
-            return 1  # totals match by construction, so all rows are settled
-        key = (columns, outstanding)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if outstanding and outstanding[-1] > columns * m:
-            memo[key] = 0  # some row can no longer be finished
-            return 0
-        total = 0
-        for column in _column_fills(outstanding, m):
-            rest = tuple(
-                sorted(x for x in (a - b for a, b in zip(outstanding, column)) if x)
-            )
-            total += fill(columns - 1, rest)
-        memo[key] = total
-        return total
 
-    return fill(n, start)
+def _signed_fill(start: dict[tuple[int, ...], int], n: int, m: int) -> int:
+    """Signed count of n-column matrices whose columns each sum to m: each
+    ``start`` state, a sorted tuple of positive row sums that adds up to
+    n*m, counts its matrices times its integer weight.
+
+    A state is the sorted tuple of positive row sums still outstanding, so
+    permuting rows never changes it.  Column by column, every state is
+    pushed through each way to fill the next column; equal successors merge
+    by adding their weights, and a weight that cancels to zero is dropped,
+    so each state is solved once however many start states reach it.  A
+    successor with a row the columns left cannot finish is pruned.  After n
+    columns the answer is the weight of the empty state.
+    """
+    states = {key: w for key, w in start.items() if w}
+    for columns_left in range(n - 1, -1, -1):
+        cap = columns_left * m
+        after: dict[tuple[int, ...], int] = {}
+        for state, weight in states.items():
+            for column in _column_fills(state, m):
+                rest = tuple(sorted(x for x in map(sub, state, column) if x))
+                if rest and rest[-1] > cap:
+                    continue
+                after[rest] = after.get(rest, 0) + weight
+        states = {key: w for key, w in after.items() if w}
+    return states.get((), 0)
 
 
 def _column_fills(limits: tuple[int, ...], budget: int) -> Iterator[tuple[int, ...]]:
     """Yield ways to place ``budget`` units into slots capped by ``limits``."""
-    take = [0] * len(limits)
-    suffix = [0] * (len(limits) + 1)
-    for i in range(len(limits) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + limits[i]
-
-    def rec(i: int, left: int) -> Iterator[tuple[int, ...]]:
-        if i == len(limits):
-            if left == 0:
-                yield tuple(take)
-            return
-        lo = max(0, left - suffix[i + 1])
-        for c in range(lo, min(limits[i], left) + 1):
+    slots = len(limits)
+    room = [0] * (slots + 1)  # room[i]: what slots i.. can hold together
+    for i in range(slots - 1, -1, -1):
+        room[i] = room[i + 1] + limits[i]
+    if room[0] < budget:
+        return
+    take = [0] * slots
+    stack = [(-1, 0, budget)]  # slot i takes c, leaving `left` for the rest
+    while stack:
+        i, c, left = stack.pop()
+        if i >= 0:
             take[i] = c
-            yield from rec(i + 1, left - c)
-
-    yield from rec(0, budget)
+        i += 1
+        if i == slots - 1:
+            take[i] = left  # the room check guarantees left <= limits[i]
+            yield tuple(take)
+            continue
+        for c in range(max(0, left - room[i + 1]), min(limits[i], left) + 1):
+            stack.append((i, c, left - c))
 
 
 def count_via_jacobi_trudi(descents: DescentSet, n: int, m: int) -> int:
     """The determinant route to the multiset descent count.
 
-    Builds the ribbon for the descent set, expands its determinant, and
-    assembles the signed sum of rectangular-monomial coefficients.  Matches
-    the other routes whenever n*m > largest.
+    Builds the ribbon for the descent set, expands its determinant, nets
+    the signs of terms with the same degree multiset, and takes the signed
+    sum of their rectangular-monomial coefficients in one column DP.
+    Matches the other routes whenever n*m > largest.
     """
     shape = ribbon_shape(descents, n, m)
-    return sum(
-        sign * rect_coeff(degrees, n, m) for sign, degrees in jacobi_trudi_terms(shape)
-    )
+    net: dict[tuple[int, ...], int] = {}
+    for sign, degrees in jacobi_trudi_terms(shape):
+        key = tuple(sorted(degrees))
+        net[key] = net.get(key, 0) + sign
+    return _signed_fill(net, n, m)

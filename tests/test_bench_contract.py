@@ -2,10 +2,13 @@
 
 ``perfbench/spans.py`` wraps library functions by module attribute name, so a
 rename would only surface when a traced benchmark run crashes.  The demos
-are scripts nothing else runs.
+are scripts nothing else runs.  The count-wide references were cross-checked
+by reflection when recorded, so the determinant route must reproduce them.
 """
 
+import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import multidescent
+from multidescent.core import DescentSet
+from multidescent.schur import count_via_jacobi_trudi
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -33,6 +38,17 @@ def test_every_traced_binding_exists():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_jacobi_trudi_reproduces_the_count_wide_references():
+    refs = json.loads((ROOT / "perfbench" / "refs" / "count-wide.json").read_text())
+    assert len(refs) == 256
+    wrong = []
+    for key, expected in refs.items():
+        elements, n, m = ast.literal_eval(key)
+        if count_via_jacobi_trudi(DescentSet(elements), n, m) != expected:
+            wrong.append(key)
+    assert wrong == []
 
 
 def test_demos_are_present():

@@ -139,6 +139,30 @@ def test_compositions_count_and_sums(total):
     assert seen == sorted(seen)
 
 
+def recursive_compositions(total, max_part=None):
+    """Reference: every composition, first part smallest first."""
+    if total == 0:
+        return [()]
+    bound = total if max_part is None else max_part
+    return [
+        (first,) + rest
+        for first in range(1, min(total, bound) + 1)
+        for rest in recursive_compositions(total - first, max_part)
+    ]
+
+
+@pytest.mark.parametrize("max_part", [None, 1, 2, 3])
+def test_compositions_match_a_recursive_reference(max_part):
+    for total in range(1, 9):
+        assert list(compositions(total, max_part)) == recursive_compositions(
+            total, max_part
+        ), total
+
+
+def test_compositions_have_no_recursion_ceiling():
+    assert next(compositions(1200)) == (1,) * 1200
+
+
 @pytest.mark.parametrize("total,bound", [(4, 2), (5, 3), (6, 2)])
 def test_bounded_compositions_filter_the_unbounded_stream(total, bound):
     bounded = list(compositions(total, max_part=bound))

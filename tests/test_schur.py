@@ -2,13 +2,15 @@
 
 from collections import Counter
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multidescent.core import DescentSet, DomainError
-from multidescent.oracle import count_naive
+from multidescent.formulas import descent_count
+from multidescent.oracle import count_naive, count_prefix
 from multidescent.schur import (
     Partition,
     RibbonShape,
@@ -186,7 +188,19 @@ def test_rect_coeff_frozen_values():
 
 
 def test_rect_coeff_matches_direct_matrix_enumeration():
-    cases = [((4, 2), 3, 2), ((2, 2, 2), 3, 2), ((3, 1), 2, 2), ((1, 1, 1, 1), 4, 1)]
+    cases = [
+        ((4, 2), 3, 2),
+        ((2, 2, 2), 3, 2),
+        ((3, 1), 2, 2),
+        ((1, 1, 1, 1), 4, 1),
+        ((3, 3, 2), 4, 2),
+        ((1, 1, 2, 2), 3, 2),
+        ((2, 2, 2, 2), 4, 2),
+        ((3, 3, 3), 3, 3),
+        ((1, 4, 1), 3, 2),
+        ((2, 0, 2, 2), 2, 3),
+        ((5, 1), 2, 3),
+    ]
     for row_sums, n, m in cases:
         assert rect_coeff(row_sums, n, m) == matrices_direct(row_sums, n, m)
 
@@ -204,6 +218,12 @@ def test_rect_coeff_single_row():
 def test_rect_coeff_rejects_negative_degrees():
     with pytest.raises(DomainError):
         rect_coeff([3, -1], 2, 1)
+
+
+@pytest.mark.parametrize("degrees", [(4.9, 2), ("4", 2), (True, 5)])
+def test_rect_coeff_rejects_non_int_degrees(degrees):
+    with pytest.raises(DomainError):
+        rect_coeff(degrees, 3, 2)
 
 
 @given(
@@ -238,3 +258,23 @@ def test_count_via_jacobi_trudi_matches_enumeration():
                 assert count_via_jacobi_trudi(ds, n, m) == count_naive(
                     ds, n, m
                 ), (ds, n, m)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_count_via_jacobi_trudi_has_no_recursion_ceiling(a):
+    # one descent at a among 1200 distinct letters: choose the first a
+    # letters, minus the one choice that leaves the word sorted
+    assert count_via_jacobi_trudi(DescentSet((a,)), 1200, 1) == comb(1200, a) - 1
+
+
+@given(
+    st.sets(st.integers(1, 7), min_size=1),
+    st.integers(1, 16).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 16 // n))),
+)
+@settings(max_examples=60, deadline=None)
+def test_count_via_jacobi_trudi_agrees_with_the_walks(elements, size):
+    n, m = size
+    ds = DescentSet(elements)
+    assume(n * m > ds.largest)
+    value = count_via_jacobi_trudi(ds, n, m)
+    assert value == count_prefix(ds, n, m) == descent_count(ds, n, m)
