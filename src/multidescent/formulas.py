@@ -2,7 +2,11 @@
 
 Every function here evaluates a polynomial or an alternating sum with plain
 integer operations; the oracle module provides the enumerative ground truth
-these must match.
+these must match.  The stabilized closed form is a signed sum over the
+2**(|I|-1) coarsenings of the first differences, but it is evaluated by a
+forward recurrence over the prefix ends of the descent set, in O(|I|**2)
+binomial products; ``signed_coarsenings`` is the explicit expansion, which
+the ribbon determinant still uses.
 """
 
 from __future__ import annotations
@@ -105,16 +109,34 @@ def signed_coarsenings(weights: Sequence[int]) -> Iterator[tuple[int, tuple[int,
 
 
 def _alternating_sum(descents: DescentSet, n: int, last: Callable[[int], int]) -> int:
-    """Coarsening sum: binom(n-1+q, q) per block sum q, ``last(q)`` for the last."""
+    """Coarsening sum: binom(n-1+q, q) per block sum q, ``last(q)`` for the last.
+
+    A coarsening of the first differences is a chain through the prefix ends
+    e_0 = 0 < e_1 < ... < e_k of the descent set from e_0 to e_k: its blocks
+    are the chain's steps and its sign is -1 to the number of ends skipped.
+    Grouping chains by their end before e_k gives H[0] = 1 and, for
+    0 < j < k, H[j] = sum_{i<j} (-1)**(j-i-1) * binom(n-1+d, d) * H[i] with
+    d = e_j - e_i; the sum is then sum_{i<k} (-1)**(k-i-1) * last(e_k - e_i)
+    * H[i].  That is O(k**2) products in place of 2**(k-1) terms.  The loop
+    keeps G[i] = (-1)**i * H[i], so each sign is a single negation, and
+    memoizes the binomials by block sum for this call only.
+    """
     if not descents:
         raise DomainError("the closed form needs a non-empty descent set")
-    total = 0
-    for sign, sums in signed_coarsenings(descents.first_differences):
-        term = sign * last(sums[-1])
-        for q in sums[:-1]:
-            term *= binom_poly(n - 1 + q, q)
-        total += term
-    return total
+    ends = (0, *descents.elements)
+    blocks: dict[int, int] = {}
+    signed = [1]  # G[i] for the prefix ends found so far
+    for e in ends[1:-1]:
+        total = 0
+        for f, g in zip(ends, signed):
+            q = e - f
+            if q not in blocks:
+                blocks[q] = binom_poly(n - 1 + q, q)
+            total += blocks[q] * g
+        signed.append(-total)
+    top = ends[-1]
+    total = sum(last(top - f) * g for f, g in zip(ends, signed))
+    return total if len(descents) % 2 else -total
 
 
 def last_fixed_formula(descents: DescentSet, n: int, j: int) -> int:

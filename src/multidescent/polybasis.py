@@ -30,10 +30,13 @@ class BinomialBasisPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        cleaned = tuple(int(c) for c in self.coeffs)
+        # Built from a list so the tuple is allocated at its exact size:
+        # tuple(<generator>) over-allocates and resizes, and the freed
+        # tuples then pile up on the interpreter's per-size free lists.
+        cleaned = [int(c) for c in self.coeffs]
         while cleaned and cleaned[-1] == 0:
-            cleaned = cleaned[:-1]
-        object.__setattr__(self, "coeffs", cleaned)
+            cleaned.pop()
+        object.__setattr__(self, "coeffs", tuple(cleaned))
 
     @property
     def degree(self) -> int:
@@ -118,22 +121,22 @@ def shift_basis(poly: BinomialBasisPoly, new_offset: int) -> BinomialBasisPoly:
 
     Lowering the offset uses the Pascal split
     binom(n+k, i) = binom(n+k-1, i) + binom(n+k-1, i-1); raising it uses the
-    alternating inversion binom(n+k, i) = sum_j (-1)^(i-j) binom(n+k+1, j).
-    Both keep every coefficient an integer.
+    alternating inversion binom(n+k, i) = sum_j (-1)^(i-j) binom(n+k+1, j),
+    whose new coefficients c'_j = sum_{i>=j} (-1)^(i-j) c_i follow the suffix
+    recurrence c'_j = c_j - c'_{j+1}.  Each step is O(degree) and keeps every
+    coefficient an integer.
     """
     coeffs = list(poly.coeffs)
     k = poly.offset
     while k > new_offset:
-        coeffs = [
-            coeffs[i] + (coeffs[i + 1] if i + 1 < len(coeffs) else 0)
-            for i in range(len(coeffs))
-        ]
+        for i in range(len(coeffs) - 1):
+            coeffs[i] += coeffs[i + 1]
         k -= 1
     while k < new_offset:
-        coeffs = [
-            sum((-1) ** (i - j) * coeffs[i] for i in range(j, len(coeffs)))
-            for j in range(len(coeffs))
-        ]
+        tail = 0
+        for j in range(len(coeffs) - 1, -1, -1):
+            tail = coeffs[j] - tail
+            coeffs[j] = tail
         k += 1
     return BinomialBasisPoly(new_offset, tuple(coeffs))
 

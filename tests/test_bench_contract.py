@@ -24,9 +24,13 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+def load_perfbench(name):
+    """A benchmark module, read from its file; dataclasses need it registered."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -34,7 +38,7 @@ def load_spans():
 def test_every_traced_binding_exists():
     missing = [
         (getattr(owner, "__name__", owner), attr)
-        for owner, attr, _, _ in load_spans().TARGETS
+        for owner, attr, _, _ in load_perfbench("spans").TARGETS
         if attr not in owner.__dict__
     ]
     assert missing == []
@@ -49,6 +53,19 @@ def test_jacobi_trudi_reproduces_the_count_wide_references():
         if count_via_jacobi_trudi(DescentSet(elements), n, m) != expected:
             wrong.append(key)
     assert wrong == []
+
+
+def test_closed_form_reproduces_the_stable_coeffs_references():
+    workload = load_perfbench("workloads").WORKLOADS["stable-coeffs"]
+    refs = workload.load_refs()
+    assert len(refs) == 30
+    seen = {}
+    for seed in (0, 1):
+        for op in workload.ops(seed):
+            value, ok = workload.execute(op, {})
+            assert ok, op
+            seen[repr(op)] = value
+    assert seen == refs
 
 
 def test_demos_are_present():

@@ -7,6 +7,9 @@ import sys
 import pytest
 
 from multidescent import cli
+from multidescent.core import DescentSet
+from multidescent.formulas import stable_descent_count
+from multidescent.polybasis import extract_coeffs
 
 
 def run_cli(*argv):
@@ -119,6 +122,27 @@ def test_dinf_text_and_json(capsys):
     )
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"set": [2], "n": 5, "value": "14"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["dinf", "--n", "60"], ["coeffs"]], ids=["dinf", "coeffs"]
+)
+def test_stabilized_commands_reach_twenty_five_descents(argv):
+    # the closed form over {1,3,...,49} has 2**24 coarsenings
+    ds = DescentSet(tuple(range(1, 50, 2)))
+    odd = ",".join(map(str, ds))
+    proc = subprocess.run(
+        [sys.executable, "-m", "multidescent", argv[0], "--set", odd, *argv[1:]],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if argv[0] == "dinf":
+        want = [str(stable_descent_count(ds, 60))]
+    else:
+        want = ["offset", "-1:", *map(str, extract_coeffs(ds, -1).coeffs)]
+    assert proc.stdout.split() == want
 
 
 def test_dinf_rejects_nonpositive_n(capsys):

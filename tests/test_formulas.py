@@ -4,7 +4,7 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multidescent.core import DescentSet, DomainError
@@ -25,6 +25,27 @@ def _sets_within(top):
     for size in range(1, top + 1):
         out.extend(DescentSet(c) for c in combinations(range(1, top + 1), size))
     return out
+
+
+def coarsening_sum(ds, n, last):
+    """Independent reference for the closed forms: the explicit signed sum
+    over every coarsening of the first differences, binom(n-1+q, q) per
+    block sum q and ``last(q)`` for the last block."""
+    total = 0
+    for sign, sums in signed_coarsenings(ds.first_differences):
+        term = sign * last(sums[-1])
+        for q in sums[:-1]:
+            term *= binom_poly(n - 1 + q, q)
+        total += term
+    return total
+
+
+def stable_by_coarsenings(ds, n):
+    return coarsening_sum(ds, n, lambda q: binom_poly(n - 1 + q, q) - 1)
+
+
+def last_fixed_by_coarsenings(ds, n, j):
+    return coarsening_sum(ds, n, lambda q: binom_poly(j - 2 + q, q - 1))
 
 
 def bounded_words_direct(ds, n, m):
@@ -180,7 +201,7 @@ def test_stable_descent_count_known_values():
 
 
 def test_stable_descent_count_single_descent_family():
-    for a in range(1, 7):
+    for a in (*range(1, 7), 40):
         for n in range(1, 11):
             assert stable_descent_count(DescentSet((a,)), n) == comb(
                 n + a - 1, a
@@ -199,6 +220,31 @@ def test_stable_descent_count_sums_the_last_value_formula():
         for n in range(ds.largest, ds.largest + 3):
             total = sum(last_fixed_formula(ds, n, j) for j in range(2, n + 1))
             assert stable_descent_count(ds, n) == total, (ds, n)
+
+
+def test_closed_forms_match_the_coarsening_expansion_exhaustively():
+    for ds in _sets_within(8):
+        for n in range(-4, 13):
+            assert stable_descent_count(ds, n) == stable_by_coarsenings(ds, n), (ds, n)
+        for n in range(1, 13):
+            for j in range(1, n + 1):
+                assert last_fixed_formula(ds, n, j) == last_fixed_by_coarsenings(
+                    ds, n, j
+                ), (ds, n, j)
+
+
+@settings(deadline=None)
+@given(
+    st.sets(st.integers(1, 30), min_size=1, max_size=12),
+    st.integers(-10, 40),
+    st.data(),
+)
+def test_closed_forms_match_the_coarsening_expansion(elements, n, data):
+    ds = DescentSet(tuple(elements))
+    assert stable_descent_count(ds, n) == stable_by_coarsenings(ds, n)
+    if n >= 1:
+        j = data.draw(st.integers(1, n))
+        assert last_fixed_formula(ds, n, j) == last_fixed_by_coarsenings(ds, n, j)
 
 
 def test_stable_descent_count_evaluates_at_any_integer():

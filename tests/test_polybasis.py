@@ -76,6 +76,14 @@ def test_offset_minus_one_coefficients_count_witness_words():
             assert poly.coefficient(i) == count_coeff_witnesses(ds, i), (ds, i)
 
 
+def test_extract_coeffs_reaches_twenty_five_descents():
+    # 2**24 coarsenings: the closed form must not walk them one by one
+    ds = DescentSet(tuple(range(1, 50, 2)))
+    poly = extract_coeffs(ds, -1)  # raises unless its own re-check passes
+    assert poly.degree == 49
+    assert stable_descent_count(ds, 60) == poly.evaluate(60)
+
+
 def test_shift_basis_known_step():
     base = BinomialBasisPoly(-1, (0, 2, 1))
     assert shift_basis(base, 0).coeffs == (-1, 1, 1)
