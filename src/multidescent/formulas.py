@@ -35,8 +35,6 @@ def stabilization_point(descents: DescentSet) -> int:
 
     Equals largest - size + 1 and never depends on the alphabet.
     """
-    if not descents:
-        raise DomainError("stabilization point needs a non-empty descent set")
     return descents.largest - len(descents) + 1
 
 
@@ -49,25 +47,11 @@ def bounded_sequence_count(descents: DescentSet, n: int, m: int) -> int:
     vector A contributes count_content(A) for each of the binom(n, r) ways
     to choose which values appear.  Valid for every n, m >= 1.
     """
-    if not descents:
-        raise DomainError("bounded counting needs a non-empty descent set")
     require_positive(n=n, m=m)
-    return _bounded_total(descents, n, m, {})
-
-
-def _bounded_total(
-    descents: DescentSet,
-    n: int,
-    m: int,
-    cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int],
-) -> int:
-    total = 0
-    for parts in compositions(descents.largest, m):
-        key = (parts, descents.elements)
-        if key not in cache:
-            cache[key] = count_content(parts, descents)
-        total += cache[key] * binom_poly(n, len(parts))
-    return total
+    return sum(
+        count_content(parts, descents) * binom_poly(n, len(parts))
+        for parts in compositions(descents.largest, m)
+    )
 
 
 def descent_count(descents: DescentSet, n: int, m: int) -> int:
@@ -87,12 +71,11 @@ def descent_count(descents: DescentSet, n: int, m: int) -> int:
         cur = cur.without_largest
     value = 1  # empty descent set: only the fully sorted word
     cells = n * m
-    cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for level in reversed(chain):
         if level.largest >= cells:
             value = 0
         else:
-            value = _bounded_total(level, n, m, cache) - value
+            value = bounded_sequence_count(level, n, m) - value
     return value
 
 
@@ -121,8 +104,7 @@ def _alternating_sum(descents: DescentSet, n: int, last: Callable[[int], int]) -
     keeps G[i] = (-1)**i * H[i], so each sign is a single negation, and
     memoizes the binomials by block sum for this call only.
     """
-    if not descents:
-        raise DomainError("the closed form needs a non-empty descent set")
+    top = descents.largest
     ends = (0, *descents.elements)
     blocks: dict[int, int] = {}
     signed = [1]  # G[i] for the prefix ends found so far
@@ -134,7 +116,6 @@ def _alternating_sum(descents: DescentSet, n: int, last: Callable[[int], int]) -
                 blocks[q] = binom_poly(n - 1 + q, q)
             total += blocks[q] * g
         signed.append(-total)
-    top = ends[-1]
     total = sum(last(top - f) * g for f, g in zip(ends, signed))
     return total if len(descents) % 2 else -total
 

@@ -1,8 +1,11 @@
 """Brute-force counters that serve as ground truth for the formula routes.
 
 Everything here counts by honest enumeration, so the functions stay slow and
-obviously correct.  The formula modules must match these on overlapping
-domains; tests and the verify suite enforce that.
+obviously correct.  Apart from the full enumeration in :func:`count_naive`,
+every counter is a short filter over one walker, ``_pattern_words``, which
+lists words with a prescribed drop pattern and per-value caps on an explicit
+stack, without memoization.  The formula modules must match these on
+overlapping domains; tests and the verify suite enforce that.
 """
 
 from __future__ import annotations
@@ -10,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import BudgetExceededError, DescentSet, DomainError, require_positive
+from .core import (
+    BudgetExceededError,
+    DescentSet,
+    DomainError,
+    require_positive,
+    strict_ints,
+)
 
 
 @dataclass(frozen=True)
@@ -18,7 +27,8 @@ class EnumerationBudget:
     """Caps that keep brute-force enumeration at desk scale.
 
     ``max_total_cells`` bounds n*m for full multiset enumeration;
-    ``max_prefix_states`` bounds search nodes in prefix counting.
+    ``max_prefix_states`` bounds the values placed by one word walk, in
+    prefix counting and in every other walk of this module.
     """
 
     max_total_cells: int = 12
@@ -77,6 +87,73 @@ def count_naive(
         word[i + 1 :] = word[:i:-1]
 
 
+def _pattern_words(
+    descents: DescentSet,
+    caps: Sequence[int],
+    limit: int = DEFAULT_BUDGET.max_prefix_states,
+) -> Iterator[tuple[int, list[int]]]:
+    """Yield ``(last value, usage)`` for every word of length ``largest`` over
+    1..len(caps) that uses each value v at most ``caps[v-1]`` times and drops
+    strictly exactly at the descent set without its largest element.
+
+    ``usage[v]`` is how often v occurs in the word (``usage[0]`` stays 0).
+    The list is live: read it before asking for the next word.  The walk is
+    a depth-first search on an explicit stack, the value and the range of
+    values still open at each position, so memory is O(largest + len(caps))
+    and no length meets a recursion limit.  Nothing is memoized or merged:
+    every word is reached on its own.  Placing more than ``limit`` values
+    raises.
+    """
+    length = descents.largest
+    falls = [False] * length  # falls[p]: the word drops after position p
+    for p in descents.elements[:-1]:
+        falls[p] = True
+    cap = (0, *caps)
+    top = len(cap)
+    usage = [0] * top
+    word = [0] * length  # word[p]: the value at position p, 0 before the first
+    lo = [1] * (length + 1)  # position p takes values in range(lo[p], hi[p])
+    hi = [top] * (length + 1)
+    over = f"a word walk placed more than max_prefix_states = {limit} values"
+    placed = 0
+    pos = 1
+    while pos:
+        if pos == length:  # every value the last position takes ends a word
+            for value in range(lo[pos], hi[pos]):
+                if usage[value] < cap[value]:
+                    placed += 1
+                    if placed > limit:
+                        raise BudgetExceededError(over)
+                    usage[value] += 1
+                    yield value, usage
+                    usage[value] -= 1
+            pos -= 1
+            continue
+        value = word[pos]
+        if value:  # take the last value back and try the ones after it
+            usage[value] -= 1
+            value += 1
+        else:
+            value = lo[pos]
+        end = hi[pos]
+        while value < end and usage[value] >= cap[value]:
+            value += 1
+        if value == end:
+            word[pos] = 0
+            pos -= 1
+            continue
+        placed += 1
+        if placed > limit:
+            raise BudgetExceededError(over)
+        usage[value] += 1
+        word[pos] = value
+        if falls[pos]:
+            lo[pos + 1], hi[pos + 1] = 1, value
+        else:
+            lo[pos + 1], hi[pos + 1] = value, top
+        pos += 1
+
+
 def count_prefix(
     descents: DescentSet, n: int, m: int, budget: EnumerationBudget | None = None
 ) -> int:
@@ -85,48 +162,21 @@ def count_prefix(
     A word is determined by its first ``largest`` values: the tail is the
     unused portion of the multiset in ascending order, so the required final
     descent holds exactly when the last prefix value exceeds the smallest
-    value not yet used up.  The search walks prefixes position by position,
-    pruning by the forced comparisons.  No memoization yet; this recursion is
-    the natural place to add it if larger inputs ever matter.
+    value not yet used up.  Only the prefixes are walked, pruned by the
+    forced comparisons; the budget caps the values placed.
     """
-    if not descents:
-        raise DomainError("prefix counting needs a non-empty descent set")
     require_positive(n=n, m=m)
-    length = descents.largest
-    if length >= n * m:
+    if descents.largest >= n * m:
         return 0  # no successor position left for the final descent
     limit = (budget or DEFAULT_BUDGET).max_prefix_states
-    drops = frozenset(descents.without_largest.elements)
-    usage = [0] * (n + 1)
-    visited = 0
-
-    def walk(pos: int, prev: int) -> int:
-        nonlocal visited
-        visited += 1
-        if visited > limit:
-            raise BudgetExceededError(
-                f"prefix search exceeded max_prefix_states = {limit}"
-            )
-        if pos > length:
-            lowest = 1
-            while usage[lowest] >= m:
-                lowest += 1
-            return 1 if prev > lowest else 0
-        if pos == 1:
-            span = range(1, n + 1)
-        elif (pos - 1) in drops:
-            span = range(1, prev)
-        else:
-            span = range(prev, n + 1)
-        found = 0
-        for value in span:
-            if usage[value] < m:
-                usage[value] += 1
-                found += walk(pos + 1, value)
-                usage[value] -= 1
-        return found
-
-    return walk(1, 0)
+    count = 0
+    for last, usage in _pattern_words(descents, (m,) * n, limit):
+        lowest = 1
+        while usage[lowest] == m:
+            lowest += 1
+        if last > lowest:
+            count += 1
+    return count
 
 
 def count_content(parts: Sequence[int], descents: DescentSet) -> int:
@@ -137,62 +187,24 @@ def count_content(parts: Sequence[int], descents: DescentSet) -> int:
     Only the relative order of values matters, so this count is the same for
     any alphabet of ``len(parts)`` values.
     """
-    if not descents:
-        raise DomainError("content counting needs a non-empty descent set")
-    parts = tuple(int(p) for p in parts)
+    parts = strict_ints(parts, "content parts")
     if any(p < 1 for p in parts):
         raise DomainError("content parts must be positive")
-    length = descents.largest
-    if sum(parts) != length:
-        raise DomainError(f"content sums to {sum(parts)}, expected {length}")
-    drops = frozenset(descents.without_largest.elements)
-    r = len(parts)
-    remaining = list(parts)
-
-    def walk(pos: int, prev: int) -> int:
-        if pos > length:
-            return 1
-        if pos == 1:
-            span = range(1, r + 1)
-        elif (pos - 1) in drops:
-            span = range(1, prev)
-        else:
-            span = range(prev, r + 1)
-        total = 0
-        for value in span:
-            if remaining[value - 1]:
-                remaining[value - 1] -= 1
-                total += walk(pos + 1, value)
-                remaining[value - 1] += 1
-        return total
-
-    return walk(1, 0)
+    if sum(parts) != descents.largest:
+        raise DomainError(f"content sums to {sum(parts)}, expected {descents.largest}")
+    # Caps that add up to the length are met exactly by every word.
+    return sum(1 for _ in _pattern_words(descents, parts))
 
 
-def _descent_words(
-    length: int, lo: int, hi: int, drops: frozenset[int]
-) -> Iterator[tuple[int, ...]]:
-    """Yield words of ``length`` over [lo, hi] with strict drops exactly at
-    the 1-indexed positions in ``drops``."""
-    if lo > hi:
-        return
-    word = [0] * length
-
-    def rec(pos: int, prev: int) -> Iterator[tuple[int, ...]]:
-        if pos > length:
-            yield tuple(word)
-            return
-        if pos == 1:
-            span = range(lo, hi + 1)
-        elif (pos - 1) in drops:
-            span = range(lo, prev)
-        else:
-            span = range(prev, hi + 1)
-        for value in span:
-            word[pos - 1] = value
-            yield from rec(pos + 1, value)
-
-    yield from rec(1, 0)
+def _free_words(
+    descents: DescentSet, values: int, skip_one: bool = False
+) -> Iterator[tuple[int, list[int]]]:
+    """The witness counters' words: length ``largest`` over 1..values, each
+    value free to repeat, value 1 left out when ``skip_one``."""
+    if values < 1:
+        raise DomainError(f"coefficient index must be >= 0, got {values - 1}")
+    free = descents.largest
+    return _pattern_words(descents, (0 if skip_one else free,) + (free,) * (values - 1))
 
 
 def count_last_fixed(descents: DescentSet, n: int, j: int) -> int:
@@ -201,15 +213,10 @@ def count_last_fixed(descents: DescentSet, n: int, j: int) -> int:
 
     No multiplicity cap applies here; every value may repeat freely.
     """
-    if not descents:
-        raise DomainError("last-fixed counting needs a non-empty descent set")
     require_positive(n=n)
     if not 1 <= j <= n:
         raise DomainError(f"last value {j} outside 1..{n}")
-    drops = frozenset(descents.without_largest.elements)
-    return sum(
-        1 for w in _descent_words(descents.largest, 1, n, drops) if w[-1] == j
-    )
+    return sum(1 for last, _ in _free_words(descents, n) if last == j)
 
 
 def count_coeff_witnesses(descents: DescentSet, i: int) -> int:
@@ -219,17 +226,11 @@ def count_coeff_witnesses(descents: DescentSet, i: int) -> int:
     without its largest element, values within 1..i+1, every value of
     2..i+1 present (1 itself is optional), and last value different from 1.
     """
-    if not descents:
-        raise DomainError("witness counting needs a non-empty descent set")
-    if i < 0:
-        raise DomainError(f"coefficient index must be >= 0, got {i}")
-    drops = frozenset(descents.without_largest.elements)
-    required = frozenset(range(2, i + 2))
-    total = 0
-    for w in _descent_words(descents.largest, 1, i + 1, drops):
-        if w[-1] != 1 and required.issubset(w):
-            total += 1
-    return total
+    return sum(
+        1
+        for last, usage in _free_words(descents, i + 1)
+        if last != 1 and all(usage[2:])
+    )
 
 
 def count_onto_upper(descents: DescentSet, i: int) -> int:
@@ -238,29 +239,13 @@ def count_onto_upper(descents: DescentSet, i: int) -> int:
     For i = 0 the value set is empty and no word of positive length exists,
     so the count is 0 by convention.
     """
-    if not descents:
-        raise DomainError("witness counting needs a non-empty descent set")
-    if i < 0:
-        raise DomainError(f"coefficient index must be >= 0, got {i}")
-    drops = frozenset(descents.without_largest.elements)
-    target = frozenset(range(2, i + 2))
-    return sum(
-        1
-        for w in _descent_words(descents.largest, 2, i + 1, drops)
-        if frozenset(w) == target
-    )
+    return sum(1 for _, usage in _free_words(descents, i + 1, True) if all(usage[2:]))
 
 
 def count_onto_full(descents: DescentSet, i: int) -> int:
     """Witness words using all of {1, ..., i+1} with last value not 1."""
-    if not descents:
-        raise DomainError("witness counting needs a non-empty descent set")
-    if i < 0:
-        raise DomainError(f"coefficient index must be >= 0, got {i}")
-    drops = frozenset(descents.without_largest.elements)
-    target = frozenset(range(1, i + 2))
     return sum(
         1
-        for w in _descent_words(descents.largest, 1, i + 1, drops)
-        if w[-1] != 1 and frozenset(w) == target
+        for last, usage in _free_words(descents, i + 1)
+        if last != 1 and all(usage[1:])
     )

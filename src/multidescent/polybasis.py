@@ -93,8 +93,6 @@ def extract_coeffs(descents: DescentSet, offset: int) -> BinomialBasisPoly:
     against fresh evaluations beyond the sampled window; either failure
     raises, since it would mean the library contradicts itself.
     """
-    if not descents:
-        raise DomainError("coefficient extraction needs a non-empty descent set")
     degree = descents.largest
     level = [stable_descent_count(descents, -offset + j) for j in range(degree + 2)]
     coeffs = [level[0]]

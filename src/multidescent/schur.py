@@ -90,8 +90,6 @@ def ribbon_shape(descents: DescentSet, n: int, m: int) -> RibbonShape:
     differences of the descent set in reverse); consecutive rows share one
     column.  Needs n*m > largest so the top row is non-empty.
     """
-    if not descents:
-        raise DomainError("a ribbon shape needs a non-empty descent set")
     require_positive(n=n, m=m)
     cells = n * m
     head = cells - descents.largest

@@ -4,6 +4,8 @@
 rename would only surface when a traced benchmark run crashes.  The demos
 are scripts nothing else runs.  The count-wide references were cross-checked
 by reflection when recorded, so the determinant route must reproduce them.
+The harness's own smoke check runs here too, so a library change that
+breaks the harness fails in the tests and not only at benchmark time.
 """
 
 import ast
@@ -66,6 +68,20 @@ def test_closed_form_reproduces_the_stable_coeffs_references():
             assert ok, op
             seen[repr(op)] = value
     assert seen == refs
+
+
+def test_perfbench_smoke_passes_and_writes_nothing():
+    bench = ROOT / "perfbench"
+    before = {p: p.stat().st_mtime_ns for p in bench.rglob("*")}
+    proc = subprocess.run(
+        [sys.executable, str(bench / "smoke.py")],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert {p: p.stat().st_mtime_ns for p in bench.rglob("*")} == before
 
 
 def test_demos_are_present():

@@ -145,6 +145,20 @@ def test_stabilized_commands_reach_twenty_five_descents(argv):
     assert proc.stdout.split() == want
 
 
+def test_count_prefix_has_no_recursion_ceiling():
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "multidescent",
+            "count", "--set", "1100", "--n", "2", "--m", "1100", "--method", "prefix",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["prefix", "1100"]
+
+
 def test_dinf_rejects_nonpositive_n(capsys):
     assert run_cli("dinf", "--set", "2", "--n", "0") == cli.EXIT_USAGE
 

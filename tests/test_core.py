@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multidescent import formulas, oracle, polybasis, schur
 from multidescent.core import (
     DescentSet,
     DomainError,
@@ -77,6 +78,31 @@ def test_empty_set_has_no_largest():
         DescentSet().largest
     with pytest.raises(DomainError):
         DescentSet().without_largest
+
+
+EMPTY = DescentSet()
+NEEDS_A_DESCENT = {
+    "stabilization_point": lambda: formulas.stabilization_point(EMPTY),
+    "bounded_sequence_count": lambda: formulas.bounded_sequence_count(EMPTY, 3, 2),
+    "last_fixed_formula": lambda: formulas.last_fixed_formula(EMPTY, 3, 2),
+    "stable_descent_count": lambda: formulas.stable_descent_count(EMPTY, 3),
+    "count_prefix": lambda: oracle.count_prefix(EMPTY, 3, 2),
+    "count_content": lambda: oracle.count_content((1,), EMPTY),
+    "count_last_fixed": lambda: oracle.count_last_fixed(EMPTY, 3, 2),
+    "count_coeff_witnesses": lambda: oracle.count_coeff_witnesses(EMPTY, 1),
+    "count_onto_upper": lambda: oracle.count_onto_upper(EMPTY, 1),
+    "count_onto_full": lambda: oracle.count_onto_full(EMPTY, 1),
+    "extract_coeffs": lambda: polybasis.extract_coeffs(EMPTY, -1),
+    "ribbon_shape": lambda: schur.ribbon_shape(EMPTY, 3, 2),
+    "count_via_jacobi_trudi": lambda: schur.count_via_jacobi_trudi(EMPTY, 3, 2),
+}
+
+
+@pytest.mark.parametrize("name", NEEDS_A_DESCENT)
+def test_functions_needing_a_descent_reject_the_empty_set(name):
+    # the one empty-set check is the one in DescentSet.largest
+    with pytest.raises(DomainError, match="has no largest element"):
+        NEEDS_A_DESCENT[name]()
 
 
 def test_longest_run_known_values():

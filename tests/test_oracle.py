@@ -10,6 +10,7 @@ import pytest
 
 from multidescent.core import BudgetExceededError, DescentSet, DomainError, descent_set
 from multidescent.formulas import stabilization_point
+from multidescent.schur import count_via_jacobi_trudi
 from multidescent.oracle import (
     EnumerationBudget,
     count_coeff_witnesses,
@@ -141,6 +142,13 @@ def test_count_content_reference_enumeration():
     assert count_content(parts, ds) == expected
 
 
+def test_count_content_rejects_non_integer_parts():
+    with pytest.raises(DomainError):
+        count_content((1.7, 1), DescentSet((2,)))
+    with pytest.raises(DomainError):
+        count_content(("1", True), DescentSet((2,)))
+
+
 def test_count_content_rejects_mismatched_total():
     with pytest.raises(DomainError):
         count_content((1, 2), DescentSet((2,)))
@@ -205,3 +213,70 @@ def test_last_fixed_sums_to_the_stabilized_count():
         for n in range(ds.largest, ds.largest + 3):
             total = sum(count_last_fixed(ds, n, j) for j in range(2, n + 1))
             assert total == count_prefix(ds, n, point), (ds, n)
+
+
+def _pattern_reference(ds, values):
+    """Independent reference: every word of length max(I) over 1..values,
+    from ``itertools.product``, whose drops sit exactly at I minus max(I)."""
+    drops = set(ds.elements[:-1])
+    for w in product(range(1, values + 1), repeat=ds.largest):
+        if {i for i in range(1, len(w)) if w[i - 1] > w[i]} == drops:
+            yield w
+
+
+def test_walk_counters_match_a_product_reference():
+    for ds in _sets_within(4):
+        d = ds.largest
+        for r in range(1, d + 1):
+            for parts in product(range(1, d + 1), repeat=r):
+                if sum(parts) != d:
+                    continue
+                expected = sum(
+                    1
+                    for w in _pattern_reference(ds, r)
+                    if all(w.count(v) == parts[v - 1] for v in range(1, r + 1))
+                )
+                assert count_content(parts, ds) == expected, (ds, parts)
+        for n in range(1, 5):
+            words = list(_pattern_reference(ds, n))
+            for j in range(1, n + 1):
+                expected = sum(1 for w in words if w[-1] == j)
+                assert count_last_fixed(ds, n, j) == expected, (ds, n, j)
+        for i in range(d + 2):
+            words = list(_pattern_reference(ds, i + 1))
+            upper = set(range(2, i + 2))
+            assert count_coeff_witnesses(ds, i) == sum(
+                1 for w in words if w[-1] != 1 and upper <= set(w)
+            ), (ds, i)
+            assert count_onto_upper(ds, i) == sum(
+                1 for w in words if set(w) == upper
+            ), (ds, i)
+            assert count_onto_full(ds, i) == sum(
+                1 for w in words if w[-1] != 1 and set(w) == upper | {1}
+            ), (ds, i)
+
+
+def test_count_prefix_matches_a_product_reference():
+    for n, m in ((1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)):
+        tally = {}
+        for w in product(range(1, n + 1), repeat=n * m):
+            if all(w.count(v) == m for v in range(1, n + 1)):
+                key = descent_set(w)
+                tally[key] = tally.get(key, 0) + 1
+        for ds in _sets_within(4):
+            assert count_prefix(ds, n, m) == tally.get(ds, 0), (ds, n, m)
+
+
+def test_walks_have_no_recursion_ceiling():
+    ds = DescentSet((1100,))
+    assert count_content((1100,), ds) == 1
+    assert count_last_fixed(ds, 1, 1) == 1
+    assert count_coeff_witnesses(ds, 1) == 1100  # 1^a 2^(1100-a), a < 1100
+    assert count_prefix(ds, 2, 1100) == 1100 == count_via_jacobi_trudi(ds, 2, 1100)
+
+
+def test_count_prefix_budget_trips_on_a_deep_walk():
+    with pytest.raises(BudgetExceededError, match="max_prefix_states = 10000"):
+        count_prefix(
+            DescentSet((1100,)), 1200, 1, EnumerationBudget(max_prefix_states=10_000)
+        )
