@@ -27,7 +27,15 @@ EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 EXIT_BUDGET = 4
 
-METHODS = ("naive", "prefix", "recurrence", "jacobi-trudi")
+# Every route answers every n, m >= 1 (0 when n*m <= max(I)) within its
+# budget; prefix and Jacobi-Trudi refuse the empty set.  Each route is looked
+# up on its module when called, so a patched or traced binding is what runs.
+ROUTES = {
+    "naive": lambda ds, n, m, budget: oracle.count_naive(ds, n, m, budget),
+    "prefix": lambda ds, n, m, budget: oracle.count_prefix(ds, n, m, budget),
+    "recurrence": lambda ds, n, m, budget: formulas.descent_count(ds, n, m),
+    "jacobi-trudi": lambda ds, n, m, budget: schur.count_via_jacobi_trudi(ds, n, m),
+}
 
 
 class UsageError(Exception):
@@ -81,9 +89,9 @@ def build_parser() -> _Parser:
     count.add_argument("--m", type=int, required=True, help="copies of each value")
     count.add_argument(
         "--method",
-        choices=("all",) + METHODS,
+        choices=("all", *ROUTES),
         default="all",
-        help="which route to run (default: all that apply)",
+        help="which route to run (default: all; a refusal becomes a skip note)",
     )
     count.add_argument(
         "--budget-cells",
@@ -140,24 +148,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run_method(
-    name: str,
-    ds: DescentSet,
-    n: int,
-    m: int,
-    budget: oracle.EnumerationBudget | None,
-) -> int:
-    if name == "naive":
-        return oracle.count_naive(ds, n, m, budget)
-    if name == "prefix":
-        # The prefix route needs a final descent to anchor on; the empty
-        # descent set means the one sorted word.
-        return 1 if not ds else oracle.count_prefix(ds, n, m)
-    if name == "recurrence":
-        return formulas.descent_count(ds, n, m)
-    return schur.count_via_jacobi_trudi(ds, n, m)
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
     ds = parse_set(args.set)
     budget = None
@@ -165,16 +155,19 @@ def _cmd_count(args: argparse.Namespace) -> int:
         if args.budget_cells < 1:
             raise UsageError("--budget-cells must be positive")
         budget = oracle.EnumerationBudget(max_total_cells=args.budget_cells)
-    chosen = METHODS if args.method == "all" else (args.method,)
+    chosen = ROUTES if args.method == "all" else (args.method,)
     results: dict[str, int] = {}
-    skipped: list[str] = []
+    refusals: list[Exception] = []
     for name in chosen:
         try:
-            results[name] = _run_method(name, ds, args.n, args.m, budget)
+            results[name] = ROUTES[name](ds, args.n, args.m, budget)
         except (DomainError, BudgetExceededError) as exc:
             if args.method != "all":
                 raise
-            skipped.append(f"{name}: skipped ({exc})")
+            refusals.append(exc)
+            print(f"{name}: skipped ({exc})", file=sys.stderr)
+    if not results:
+        raise refusals[0]  # no count to print: exit with the first refusal's code
     agree = len(set(results.values())) <= 1
     if args.format == "json":
         payload = {
@@ -188,8 +181,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
     else:
         for name, value in results.items():
             print(f"{name:<12} {value}")
-    for note in skipped:
-        print(note, file=sys.stderr)
     if not agree:
         print("DISAGREEMENT between routes", file=sys.stderr)
         return EXIT_VERIFY
@@ -225,7 +216,7 @@ def _cmd_stabilize(args: argparse.Namespace) -> int:
     n = args.n if args.n is not None else ds.longest_run + 1
     if n < 1:
         raise UsageError("--n must be positive")
-    sweep = [(m, oracle.count_prefix(ds, n, m)) for m in range(1, point + 3)]
+    sweep = [(m, schur.count_via_jacobi_trudi(ds, n, m)) for m in range(1, point + 3)]
     if args.format == "json":
         payload = {
             "set": list(ds),

@@ -60,22 +60,20 @@ def descent_count(descents: DescentSet, n: int, m: int) -> int:
 
     Evaluated along the chain I, I-minus-largest, ... down to the empty set:
     at each level the bounded sequence count splits into the words where the
-    final compared position does or does not drop.  A level whose largest
-    element has no successor position contributes zero outright.
+    final compared position does or does not drop.  When the largest element
+    has no successor position the count is zero, and no level is computed.
     """
     require_positive(n=n, m=m)
+    if descents and descents.largest >= n * m:
+        return 0
     chain = []
     cur = descents
     while cur:
         chain.append(cur)
         cur = cur.without_largest
     value = 1  # empty descent set: only the fully sorted word
-    cells = n * m
     for level in reversed(chain):
-        if level.largest >= cells:
-            value = 0
-        else:
-            value = bounded_sequence_count(level, n, m) - value
+        value = bounded_sequence_count(level, n, m) - value
     return value
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .core import ConsistencyError, DescentSet, DomainError
+from .core import ConsistencyError, DescentSet, DomainError, strict_ints
 from .formulas import binom_poly, stable_descent_count
 from .oracle import count_coeff_witnesses
 
@@ -22,18 +22,20 @@ from .oracle import count_coeff_witnesses
 class BinomialBasisPoly:
     """Integer coefficients over the base (binom(n + offset, i))_i.
 
-    Trailing zero coefficients are trimmed; the zero polynomial keeps an
-    empty coefficient tuple.
+    The offset and coefficients must be ``int`` and not ``bool``; nothing
+    is coerced.  Trailing zero coefficients are trimmed; the zero polynomial
+    keeps an empty coefficient tuple.
     """
 
     offset: int
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        strict_ints((self.offset,), "offsets")
         # Built from a list so the tuple is allocated at its exact size:
         # tuple(<generator>) over-allocates and resizes, and the freed
         # tuples then pile up on the interpreter's per-size free lists.
-        cleaned = [int(c) for c in self.coeffs]
+        cleaned = list(strict_ints(self.coeffs, "coefficients"))
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))

@@ -188,9 +188,13 @@ def count_via_jacobi_trudi(descents: DescentSet, n: int, m: int) -> int:
 
     Builds the ribbon for the descent set, expands its determinant, nets
     the signs of terms with the same degree multiset, and takes the signed
-    sum of their rectangular-monomial coefficients in one column DP.
-    Matches the other routes whenever n*m > largest.
+    sum of their rectangular-monomial coefficients in one column DP.  When
+    n*m <= largest there is no ribbon and no word: the count is 0, as on
+    every other route.
     """
+    require_positive(n=n, m=m)
+    if descents.largest >= n * m:
+        return 0  # no successor position left for the final descent
     shape = ribbon_shape(descents, n, m)
     net: dict[tuple[int, ...], int] = {}
     for sign, degrees in jacobi_trudi_terms(shape):

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` wraps library functions by module attribute name, so a
 rename would only surface when a traced benchmark run crashes.  The demos
 are scripts nothing else runs.  The count-wide references were cross-checked
-by reflection when recorded, so the determinant route must reproduce them.
+by reflection when recorded, so the determinant route must reproduce them,
+and the verify reports must keep the recorded verify-full check counts.
 The harness's own smoke check runs here too, so a library change that
 breaks the harness fails in the tests and not only at benchmark time.
 """
@@ -67,6 +68,19 @@ def test_closed_form_reproduces_the_stable_coeffs_references():
             value, ok = workload.execute(op, {})
             assert ok, op
             seen[repr(op)] = value
+    assert seen == refs
+
+
+def test_verify_reports_reproduce_the_verify_full_check_counts():
+    # a report whose grid or checks change shape fails here, not in the bench
+    workload = load_perfbench("workloads").WORKLOADS["verify-full"]
+    refs = workload.load_refs()
+    assert len(refs) == 14
+    seen = {}
+    for op in workload.ops(0):
+        value, ok = workload.execute(op, {})
+        assert ok, op
+        seen[repr(op)] = value
     assert seen == refs
 
 

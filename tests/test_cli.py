@@ -1,13 +1,17 @@
 """Command line behavior: output shapes, exit codes, route dispatch."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multidescent import cli
-from multidescent.core import DescentSet
+from multidescent.core import DescentSet, DomainError
 from multidescent.formulas import stable_descent_count
 from multidescent.polybasis import extract_coeffs
 
@@ -57,20 +61,29 @@ def test_count_single_method(capsys):
 
 
 def test_count_skips_inapplicable_routes_in_all_mode(capsys):
-    # one cell total: the determinant route has no room and is skipped
+    # one cell total: no position follows the descent, and every route says 0
     code = run_cli("count", "--set", "2", "--n", "1", "--m", "1")
     captured = capsys.readouterr()
     assert code == cli.EXIT_OK
-    assert "jacobi-trudi: skipped" in captured.err
+    assert captured.err == ""
     lines = captured.out.strip().splitlines()
-    assert len(lines) == 3
-    assert all(line.split()[1] == "0" for line in lines)
+    assert [line.split() for line in lines] == [[name, "0"] for name in cli.ROUTES]
+    # the empty set has no final descent for prefix and Jacobi-Trudi to anchor on
+    code = run_cli("count", "--set", "", "--n", "3", "--m", "2")
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK
+    assert captured.out.split() == ["naive", "1", "recurrence", "1"]
+    assert "prefix: skipped" in captured.err
+    assert "jacobi-trudi: skipped" in captured.err
 
 
 def test_count_explicit_inapplicable_route_is_a_domain_error(capsys):
     code = run_cli(
         "count", "--set", "2", "--n", "1", "--m", "1", "--method", "jacobi-trudi"
     )
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().out.split() == ["jacobi-trudi", "0"]
+    code = run_cli("count", "--set", "", "--n", "3", "--m", "2", "--method", "prefix")
     assert code == cli.EXIT_DOMAIN
     assert "domain error" in capsys.readouterr().err
 
@@ -80,6 +93,33 @@ def test_count_empty_set_counts_the_sorted_word(capsys):
     assert code == cli.EXIT_OK
     for line in capsys.readouterr().out.strip().splitlines():
         assert line.split()[1] == "1"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_with_no_count_exits_with_the_refusal_code(capsys, fmt):
+    code = run_cli("count", "--set", "1,2", "--n", "-3", "--m", "1", "--format", fmt)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DOMAIN
+    assert captured.out == ""
+    assert "domain error" in captured.err
+
+
+def test_count_with_no_count_exits_with_the_first_refusal_code(capsys, monkeypatch):
+    def refuse(*args):
+        raise DomainError("refused")
+
+    for owner, name in [
+        (cli.oracle, "count_prefix"),
+        (cli.formulas, "descent_count"),
+        (cli.schur, "count_via_jacobi_trudi"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
+    # naive runs first and refuses on its budget, so its code wins
+    code = run_cli("count", "--set", "2", "--n", "3", "--m", "2", "--budget-cells", "5")
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err.count("skipped") == 4
 
 
 def test_count_budget_refusal_and_override(capsys):
@@ -110,6 +150,35 @@ def test_count_disagreement_exits_with_verify_code(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == cli.EXIT_VERIFY
     assert "DISAGREEMENT" in captured.err
+
+
+SET_TEXTS = st.one_of(
+    st.sampled_from(["", " ", "0", "-1", "x", "2,x", ",", "1,,2", "3.5", "1, 2"]),
+    st.lists(st.integers(-1, 6), max_size=3).map(lambda xs: ",".join(map(str, xs))),
+)
+
+
+@given(
+    SET_TEXTS,
+    st.integers(-2, 5),
+    st.integers(-2, 5),
+    st.sampled_from(["all", *cli.ROUTES]),
+    st.sampled_from(["text", "json"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_count_fuzz_ends_in_a_contract_exit_code(set_text, n, m, method, fmt):
+    # redirect_stdout, not capsys: Hypothesis rejects function-scoped fixtures
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["count", f"--set={set_text}", f"--n={n}", f"--m={m}"]
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([*argv, "--method", method, "--format", fmt])
+    assert code in range(5), err.getvalue()
+    if code == cli.EXIT_OK:
+        if fmt == "json":
+            counts = json.loads(out.getvalue())["counts"]
+        else:
+            counts = dict(line.split() for line in out.getvalue().splitlines())
+        assert counts and set(counts) <= set(cli.ROUTES)
 
 
 def test_dinf_text_and_json(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multidescent import formulas
 from multidescent.core import DescentSet, DomainError
 from multidescent.formulas import (
     binom_poly,
@@ -172,6 +173,14 @@ def test_descent_count_zero_without_a_successor_position():
     assert descent_count(DescentSet((4,)), 1, 1) == 0
     assert descent_count(DescentSet((2,)), 1, 2) == 0
     assert descent_count(DescentSet((1, 3)), 3, 1) == 0
+
+
+def test_descent_count_zero_computes_no_level(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a level was computed for a zero count")
+
+    monkeypatch.setattr(formulas, "bounded_sequence_count", refuse)
+    assert descent_count(DescentSet((1, 9)), 2, 2) == 0
 
 
 def test_last_fixed_formula_frozen_values():

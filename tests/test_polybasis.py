@@ -34,6 +34,15 @@ def test_poly_trims_trailing_zero_coefficients():
     assert BinomialBasisPoly(0, (0, 0)).coeffs == ()
 
 
+@pytest.mark.parametrize(
+    "offset, coeffs",
+    [(0, (1.7, True, "3")), (0, (2, 1.0)), (-1.5, (1, 2)), (True, (1,)), ("0", ())],
+)
+def test_poly_rejects_non_int_offset_and_coefficients(offset, coeffs):
+    with pytest.raises(DomainError):
+        BinomialBasisPoly(offset, coeffs)
+
+
 def test_poly_evaluate():
     poly = BinomialBasisPoly(-1, (0, 2, 1))  # 2*binom(n-1,1) + binom(n-1,2)
     assert [poly.evaluate(n) for n in range(1, 6)] == [0, 2, 5, 9, 14]
