@@ -33,7 +33,7 @@ EXIT_BUDGET = 4
 ROUTES = {
     "naive": lambda ds, n, m, budget: oracle.count_naive(ds, n, m, budget),
     "prefix": lambda ds, n, m, budget: oracle.count_prefix(ds, n, m, budget),
-    "recurrence": lambda ds, n, m, budget: formulas.descent_count(ds, n, m),
+    "recurrence": lambda ds, n, m, budget: formulas.descent_count(ds, n, m, budget),
     "jacobi-trudi": lambda ds, n, m, budget: schur.count_via_jacobi_trudi(ds, n, m),
 }
 

@@ -1,8 +1,10 @@
 """Closed forms and the recurrence for descent counts, in exact arithmetic.
 
-Every function here evaluates a polynomial or an alternating sum with plain
-integer operations; the oracle module provides the enumerative ground truth
-these must match.  The stabilized closed form is a signed sum over the
+Every function here evaluates a polynomial, an alternating sum or a finite
+DP with plain integer operations; the oracle module provides the enumerative
+ground truth these must match.  Each level of the recurrence counts its
+bounded words with one value-insertion DP over the filled positions, at most
+2**largest states.  The stabilized closed form is a signed sum over the
 2**(|I|-1) coarsenings of the first differences, but it is evaluated by a
 forward recurrence over the prefix ends of the descent set, in O(|I|**2)
 binomial products; ``signed_coarsenings`` is the explicit expansion, which
@@ -14,8 +16,16 @@ from __future__ import annotations
 from math import factorial, prod
 from typing import Callable, Iterator, Sequence
 
-from .core import DescentSet, DomainError, block_sums, compositions, require_positive
-from .oracle import count_content
+from .core import (
+    BudgetExceededError,
+    DescentSet,
+    DomainError,
+    block_sums,
+    compositions,
+    require_positive,
+)
+from .oracle import DEFAULT_BUDGET, EnumerationBudget
+from .oracle import count_content  # noqa: F401  perfbench/spans.py traces this binding
 
 
 def binom_poly(n: int, r: int) -> int:
@@ -38,23 +48,72 @@ def stabilization_point(descents: DescentSet) -> int:
     return descents.largest - len(descents) + 1
 
 
-def bounded_sequence_count(descents: DescentSet, n: int, m: int) -> int:
+def bounded_sequence_count(
+    descents: DescentSet, n: int, m: int, budget: EnumerationBudget | None = None
+) -> int:
     """Count length-``largest`` words over 1..n, each value used at most m
     times, with strict drops exactly at the descent set minus its largest
     element.
 
-    Split on content: a word using r distinct values with multiplicity
-    vector A contributes count_content(A) for each of the binom(n, r) ways
-    to choose which values appear.  Valid for every n, m >= 1.
+    Insert the values in increasing order.  The state is the bitmask of
+    filled positions, and each value fills a set T of 1..m free positions:
+    q may join T when a drop at q finds q+1 filled (the later value is
+    larger) and an ascent at q-1 finds q-1 filled or in T (never smaller).
+    The values a word uses are chosen apart from its shape, so a full mask
+    reached after r values adds its ways times binom(n, r).  There are at
+    most 2**largest states; T is built on an explicit stack in increasing
+    position order from the feasible positions only, and the budget's
+    ``max_prefix_states`` caps the (state, T) transitions of one call.
+    Valid for every n, m >= 1.
     """
     require_positive(n=n, m=m)
-    return sum(
-        count_content(parts, descents) * binom_poly(n, len(parts))
-        for parts in compositions(descents.largest, m)
-    )
+    limit = (budget or DEFAULT_BUDGET).max_prefix_states
+    length = descents.largest
+    full = (1 << (length + 1)) - 2  # bit q stands for position q
+    drops = sum(1 << p for p in descents.elements[:-1])
+    after_rise = (full & ~drops & ~(1 << length)) << 1  # q-1 to q may not drop
+    total = 0
+    moves = 0
+    frontier = {0: 1}
+    for r in range(1, min(n, length) + 1):
+        reached: dict[int, int] = {}
+        for filled, ways in frontier.items():
+            # A drop at q waits for q+1; an ascent into q waits for q-1,
+            # unless q-1 joins T first (``chained``).
+            ready = full & ~filled & ~(drops & ~(filled >> 1))
+            chained = ready & after_rise
+            alone = ready & ~(after_rise & ~(filled << 1))
+            stack = [(0, 0, 0)]  # (T, |T|, highest position in T)
+            while stack:
+                chosen, size, last = stack.pop()
+                options = (alone >> (last + 1)) << (last + 1)
+                # last + 1 may follow last into T; ``chained`` never holds
+                # bit 1, so this adds nothing at the root
+                if (chained >> (last + 1)) & 1:
+                    options |= 1 << (last + 1)
+                while options:
+                    low = options & -options
+                    options ^= low
+                    moves += 1
+                    if moves > limit:
+                        raise BudgetExceededError(
+                            f"the insertion DP made more than "
+                            f"max_prefix_states = {limit} transitions"
+                        )
+                    state = filled | chosen | low
+                    reached[state] = reached.get(state, 0) + ways
+                    if size + 1 < m:
+                        stack.append((chosen | low, size + 1, low.bit_length() - 1))
+        total += reached.pop(full, 0) * binom_poly(n, r)
+        if not reached:
+            break
+        frontier = reached
+    return total
 
 
-def descent_count(descents: DescentSet, n: int, m: int) -> int:
+def descent_count(
+    descents: DescentSet, n: int, m: int, budget: EnumerationBudget | None = None
+) -> int:
     """Number of words holding each of 1..n exactly m times whose descent
     set is exactly ``descents``.
 
@@ -62,6 +121,7 @@ def descent_count(descents: DescentSet, n: int, m: int) -> int:
     at each level the bounded sequence count splits into the words where the
     final compared position does or does not drop.  When the largest element
     has no successor position the count is zero, and no level is computed.
+    The budget caps each level's DP transitions.
     """
     require_positive(n=n, m=m)
     if descents and descents.largest >= n * m:
@@ -73,7 +133,7 @@ def descent_count(descents: DescentSet, n: int, m: int) -> int:
         cur = cur.without_largest
     value = 1  # empty descent set: only the fully sorted word
     for level in reversed(chain):
-        value = bounded_sequence_count(level, n, m) - value
+        value = bounded_sequence_count(level, n, m, budget) - value
     return value
 
 

@@ -27,15 +27,17 @@ class EnumerationBudget:
     """Caps that keep brute-force enumeration at desk scale.
 
     ``max_total_cells`` bounds n*m for full multiset enumeration;
-    ``max_prefix_states`` bounds the values placed by one word walk, in
-    prefix counting and in every other walk of this module.
+    ``max_prefix_states`` bounds the values placed by one word walk of this
+    module, or the (state, T) transitions of one insertion DP of the
+    recurrence route.  Both caps are positive ``int``s; nothing is coerced.
     """
 
     max_total_cells: int = 12
     max_prefix_states: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if self.max_total_cells < 1 or self.max_prefix_states < 1:
+        caps = (self.max_total_cells, self.max_prefix_states)
+        if min(strict_ints(caps, "budget caps")) < 1:
             raise DomainError("budget caps must be positive")
 
 

@@ -196,7 +196,7 @@ def single_descent_report(a_max: int = 6, n_max: int = 10) -> Report:
     return Report("single-descent closed form", tuple(checks))
 
 
-def polynomiality_report(top: int = 4, m_max: int = 3) -> Report:
+def polynomiality_report(top: int = 6, m_max: int = 4) -> Report:
     """At fixed multiplicity the count is a polynomial in the alphabet size
     of degree at most the largest descent: one more forward difference
     vanishes on n from largest to 2*largest + 2."""

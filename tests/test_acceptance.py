@@ -102,7 +102,7 @@ def test_criterion_7_single_descent_closed_form():
 
 def test_criterion_8_polynomial_in_alphabet_size():
     start = time.perf_counter()
-    report = verify.polynomiality_report(top=4, m_max=3)
+    report = verify.polynomiality_report(top=6, m_max=4)
     _report_criterion(
         8, "forward differences past the degree vanish at fixed multiplicity",
         _failures(report), time.perf_counter() - start,

@@ -3,8 +3,9 @@
 ``perfbench/spans.py`` wraps library functions by module attribute name, so a
 rename would only surface when a traced benchmark run crashes.  The demos
 are scripts nothing else runs.  The count-wide references were cross-checked
-by reflection when recorded, so the determinant route must reproduce them,
-and the verify reports must keep the recorded verify-full check counts.
+by reflection when recorded, so the determinant route must reproduce them;
+the recurrence must reproduce the count-dense references, and the verify
+reports must keep the recorded verify-full check counts.
 The harness's own smoke check runs here too, so a library change that
 breaks the harness fails in the tests and not only at benchmark time.
 """
@@ -21,6 +22,7 @@ import pytest
 
 import multidescent
 from multidescent.core import DescentSet
+from multidescent.formulas import descent_count
 from multidescent.schur import count_via_jacobi_trudi
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,6 +56,17 @@ def test_jacobi_trudi_reproduces_the_count_wide_references():
     for key, expected in refs.items():
         elements, n, m = ast.literal_eval(key)
         if count_via_jacobi_trudi(DescentSet(elements), n, m) != expected:
+            wrong.append(key)
+    assert wrong == []
+
+
+def test_recurrence_reproduces_the_count_dense_references():
+    refs = json.loads((ROOT / "perfbench" / "refs" / "count-dense.json").read_text())
+    assert len(refs) == 3477
+    wrong = []
+    for key, expected in refs.items():
+        elements, n, m = ast.literal_eval(key)
+        if descent_count(DescentSet(elements), n, m) != expected:
             wrong.append(key)
     assert wrong == []
 

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -144,7 +145,7 @@ def test_count_budget_refusal_and_override(capsys):
 
 def test_count_disagreement_exits_with_verify_code(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli.formulas, "descent_count", lambda ds, n, m: 999
+        cli.formulas, "descent_count", lambda ds, n, m, budget=None: 999
     )
     code = run_cli("count", "--set", "2", "--n", "3", "--m", "2")
     captured = capsys.readouterr()
@@ -226,6 +227,33 @@ def test_count_prefix_has_no_recursion_ceiling():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["prefix", "1100"]
+
+
+def test_count_recurrence_reaches_a_descent_at_1100():
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "multidescent",
+            "count", "--set", "1100", "--n", "1200", "--m", "1",
+            "--method", "recurrence",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["recurrence", str(comb(1200, 1100) - 1)]
+
+
+def test_count_recurrence_passes_the_budget(capsys, monkeypatch):
+    seen = []
+    def record(ds, n, m, budget):
+        seen.append(budget)
+        return 5
+
+    monkeypatch.setattr(cli.formulas, "descent_count", record)
+    run_cli("count", "--set", "2", "--n", "3", "--m", "2", "--method", "recurrence",
+            "--budget-cells", "6")
+    assert seen == [cli.oracle.EnumerationBudget(max_total_cells=6)]
 
 
 def test_dinf_rejects_nonpositive_n(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multidescent import formulas
-from multidescent.core import DescentSet, DomainError
+from multidescent.core import BudgetExceededError, DescentSet, DomainError, compositions
 from multidescent.formulas import (
     binom_poly,
     bounded_sequence_count,
@@ -18,7 +18,14 @@ from multidescent.formulas import (
     stabilization_point,
     stable_descent_count,
 )
-from multidescent.oracle import count_last_fixed, count_naive, count_prefix
+from multidescent.oracle import (
+    EnumerationBudget,
+    count_content,
+    count_last_fixed,
+    count_naive,
+    count_prefix,
+)
+from multidescent.schur import count_via_jacobi_trudi
 
 
 def _sets_within(top):
@@ -144,6 +151,66 @@ def test_bounded_count_splits_into_adjacent_descent_counts():
                     ds.without_largest, n, m
                 )
                 assert lhs == rhs, (ds, n, m)
+
+
+def content_split(ds, n, m):
+    """Independent reference for the bounded count: one content walk per
+    multiplicity vector, times the ways to choose the values it uses."""
+    return sum(
+        count_content(parts, ds) * binom_poly(n, len(parts))
+        for parts in compositions(ds.largest, m)
+    )
+
+
+def test_bounded_sequence_count_matches_the_content_split():
+    for ds in _sets_within(6):
+        for n in range(1, 6):
+            for m in range(1, 5):
+                assert bounded_sequence_count(ds, n, m) == content_split(
+                    ds, n, m
+                ), (ds, n, m)
+
+
+@settings(deadline=None)
+@given(
+    st.sets(st.integers(1, 9), min_size=1, max_size=6),
+    st.integers(1, 7),
+    st.integers(1, 5),
+)
+def test_bounded_sequence_count_matches_the_content_split_randomly(elements, n, m):
+    ds = DescentSet(tuple(elements))
+    assert bounded_sequence_count(ds, n, m) == content_split(ds, n, m)
+
+
+def test_bounded_sequence_count_walks_no_content(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the insertion DP called a composition or content walk")
+
+    monkeypatch.setattr(formulas, "compositions", refuse)
+    monkeypatch.setattr(formulas, "count_content", refuse)
+    assert bounded_sequence_count(DescentSet((2,)), 3, 2) == 6
+
+
+@pytest.mark.parametrize(
+    "elements,n,m",
+    [((3, 6, 9, 12), 6, 4), ((3, 6, 9, 12), 8, 6), (tuple(range(2, 17, 2)), 18, 2)],
+)
+def test_descent_count_matches_jacobi_trudi_on_long_words(elements, n, m):
+    ds = DescentSet(elements)
+    assert descent_count(ds, n, m) == count_via_jacobi_trudi(ds, n, m)
+
+
+def test_descent_count_reaches_a_descent_at_1100():
+    assert descent_count(DescentSet((1100,)), 1200, 1) == comb(1200, 1100) - 1
+
+
+def test_descent_count_budget_caps_the_dp_transitions():
+    tight = EnumerationBudget(max_prefix_states=10_000)
+    ds = DescentSet(tuple(range(2, 25, 2)))
+    with pytest.raises(BudgetExceededError, match="max_prefix_states = 10000"):
+        descent_count(ds, 26, 2, tight)
+    with pytest.raises(BudgetExceededError, match="max_prefix_states = 10000"):
+        bounded_sequence_count(ds, 26, 2, budget=tight)
 
 
 def test_descent_count_known_value():

@@ -65,6 +65,13 @@ def test_count_naive_budget_refusal_names_the_bound():
         count_naive(DescentSet((2,)), 3, 2, budget=tight)
 
 
+@pytest.mark.parametrize("cap", ["max_total_cells", "max_prefix_states"])
+@pytest.mark.parametrize("value", [True, 2.5, 7.9, "12", 0])
+def test_budget_caps_must_be_positive_ints(cap, value):
+    with pytest.raises(DomainError):
+        EnumerationBudget(**{cap: value})
+
+
 def test_count_naive_rejects_bad_sizes():
     with pytest.raises(DomainError):
         count_naive(DescentSet((1,)), 0, 2)
