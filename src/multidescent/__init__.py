@@ -3,7 +3,8 @@
 A word holding each of the values 1..n exactly m times has a descent at
 every position where it strictly drops.  This package counts the words with
 a prescribed descent set by four independent routes (full enumeration,
-prefix enumeration, a content-split recurrence, and a ribbon determinant),
+prefix enumeration, a recurrence whose levels insert the values into the
+free positions, and a ribbon determinant filled row block by row block),
 computes the value the count stabilizes to as the multiplicity grows, and
 analyzes that stabilized value's coefficients over shifted binomial bases.
 Everything is exact integer arithmetic; the routes cross-check each other

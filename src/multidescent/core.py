@@ -26,8 +26,10 @@ class ConsistencyError(RuntimeError):
 
 
 def require_positive(**named: int) -> None:
-    """Raise DomainError unless every named argument is at least 1."""
+    """Raise DomainError unless every named argument is an ``int`` (not a
+    ``bool``) of at least 1."""
     for name, value in named.items():
+        strict_ints((value,), name)
         if value < 1:
             raise DomainError(f"{name} must be >= 1, got {value}")
 
@@ -127,32 +129,24 @@ def descent_set(values: Sequence[int]) -> DescentSet:
     )
 
 
-def compositions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+def compositions(total: int) -> Iterator[tuple[int, ...]]:
     """Yield every ordered tuple of positive integers summing to ``total``.
 
     Output is lazy and lexicographic: for total 3 the order is (1,1,1),
-    (1,2), (2,1), (3).  Unbounded there are 2**(total-1) of them; passing
-    ``max_part`` caps every part.  A total below 1 yields nothing.
+    (1,2), (2,1), (3).  There are 2**(total-1) of them; a total below 1
+    yields nothing.
     """
-    if max_part is not None and max_part < 1:
-        raise DomainError(f"part bound must be >= 1, got {max_part}")
     if total < 1:
         return
-    bound = total if max_part is None else max_part
     parts = [1] * total
     while True:
         yield tuple(parts)
-        # The rightmost part but the last that is below the bound: everything
-        # after it is already the largest tail its sum allows, so the next
-        # composition grows that part by one and restarts the tail as ones.
-        i = len(parts) - 2
-        while i >= 0 and parts[i] == bound:
-            i -= 1
-        if i < 0:
+        if len(parts) == 1:
             return
-        tail = sum(parts[i + 1 :]) - 1
-        parts[i] += 1
-        del parts[i + 1 :]
+        # The next tuple grows the second-to-last part by one and spreads the
+        # rest of the last part as ones, the largest tail its sum allows.
+        tail = parts.pop() - 1
+        parts[-1] += 1
         parts.extend([1] * tail)
 
 

@@ -8,7 +8,7 @@ bounded words with one value-insertion DP over the filled positions, at most
 2**(|I|-1) coarsenings of the first differences, but it is evaluated by a
 forward recurrence over the prefix ends of the descent set, in O(|I|**2)
 binomial products; ``signed_coarsenings`` is the explicit expansion, which
-the ribbon determinant still uses.
+``schur.jacobi_trudi_terms`` lists.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .core import (
     block_sums,
     compositions,
     require_positive,
+    strict_ints,
 )
 from .oracle import DEFAULT_BUDGET, EnumerationBudget
 from .oracle import count_content  # noqa: F401  perfbench/spans.py traces this binding
@@ -185,8 +186,8 @@ def last_fixed_formula(descents: DescentSet, n: int, j: int) -> int:
     descent set minus its largest element and final value j.  Agrees with
     the brute-force count once n >= largest.
     """
-    require_positive(n=n)
-    if not 1 <= j <= n:
+    require_positive(n=n, j=j)
+    if j > n:
         raise DomainError(f"last value {j} outside 1..{n}")
     return _alternating_sum(descents, n, lambda q: binom_poly(j - 2 + q, q - 1))
 
@@ -201,4 +202,5 @@ def stable_descent_count(descents: DescentSet, n: int) -> int:
     value above 1.  Negative and small n evaluate the same polynomial, which
     is what the coefficient extraction relies on.
     """
+    strict_ints((n,), "n")
     return _alternating_sum(descents, n, lambda q: binom_poly(n - 1 + q, q) - 1)

@@ -215,8 +215,8 @@ def count_last_fixed(descents: DescentSet, n: int, j: int) -> int:
 
     No multiplicity cap applies here; every value may repeat freely.
     """
-    require_positive(n=n)
-    if not 1 <= j <= n:
+    require_positive(n=n, j=j)
+    if j > n:
         raise DomainError(f"last value {j} outside 1..{n}")
     return sum(1 for last, _ in _free_words(descents, n) if last == j)
 

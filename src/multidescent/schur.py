@@ -7,15 +7,15 @@ strip, and the Jacobi-Trudi identity turns the Schur function into a sum
 of products of complete homogeneous symmetric functions, one per signed
 coarsening of the row lengths.  A product's coefficient counts nonnegative
 integer matrices with those row sums and n columns each summing to m.
-Terms with equal degree multisets are netted first, and one signed forward
-DP then fills the columns for all the surviving terms at once, so a state
-of outstanding row sums is solved once per determinant, not once per term.
+It is symmetric in the rows, so one signed chain over the prefix ends of
+the descent set fills row blocks into multisets of column fills, and n
+enters only through binomials; ``jacobi_trudi_terms`` lists the terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
+from math import comb
 from typing import Iterator, Sequence
 
 from .core import DescentSet, DomainError, require_positive, strict_ints
@@ -119,10 +119,9 @@ def rect_coeff(h_degrees: Sequence[int], n: int, m: int) -> int:
     symmetric functions of the given degrees, over n variables.
 
     Equals the number of nonnegative integer matrices with these row sums
-    whose n columns each sum to m.  The degrees must be nonnegative ``int``
-    values (nothing is coerced), and the answer is zero whenever they do not
-    sum to n*m.  Counted by the determinant route's forward column DP,
-    started from this one product with weight 1.
+    whose n columns each sum to m: zero unless the degrees, nonnegative
+    ``int`` values (nothing is coerced), sum to n*m.  The rows are placed
+    largest last, which fills what every column lacks in exactly one way.
     """
     require_positive(n=n, m=m)
     degrees = strict_ints(h_degrees, "degrees")
@@ -130,74 +129,71 @@ def rect_coeff(h_degrees: Sequence[int], n: int, m: int) -> int:
         raise DomainError("degrees must be nonnegative")
     if sum(degrees) != n * m:
         return 0
-    return _signed_fill({tuple(sorted(d for d in degrees if d)): 1}, n, m)
+    states = {(): 1}
+    for q in sorted(d for d in degrees if d)[:-1]:
+        states = _place(states, q, n, m, {})
+    return sum(states.values())
 
 
-def _signed_fill(start: dict[tuple[int, ...], int], n: int, m: int) -> int:
-    """Signed count of n-column matrices whose columns each sum to m: each
-    ``start`` state, a sorted tuple of positive row sums that adds up to
-    n*m, counts its matrices times its integer weight.
+def _place(states: dict, q: int, n: int, m: int, into: dict) -> dict:
+    """Add one row of q units to every state, summing the results into ``into``.
 
-    A state is the sorted tuple of positive row sums still outstanding, so
-    permuting rows never changes it.  Column by column, every state is
-    pushed through each way to fill the next column; equal successors merge
-    by adding their weights, and a weight that cancels to zero is dropped,
-    so each state is solved once however many start states reach it.  A
-    successor with a row the columns left cannot finish is pruned.  After n
-    columns the answer is the weight of the empty state.
+    A state is the ascending tuple of the positive column fills (parts <= m,
+    at most n of them), weighted by the matrices so far that reach it.  The
+    g columns of fill u, for u = 0 the n - len unused ones, form a class: the
+    row gives k_1 of them one more unit, k_2 of the rest two, ... up to m - u,
+    in comb(g, k_1) * comb(g - k_1, k_2) * ... ways.  An explicit stack makes
+    these choices class by class, skips empty and full classes, and never
+    pushes a frame whose units cannot fit the columns it has left.
     """
-    states = {key: w for key, w in start.items() if w}
-    for columns_left in range(n - 1, -1, -1):
-        cap = columns_left * m
-        after: dict[tuple[int, ...], int] = {}
-        for state, weight in states.items():
-            for column in _column_fills(state, m):
-                rest = tuple(sorted(x for x in map(sub, state, column) if x))
-                if rest and rest[-1] > cap:
-                    continue
-                after[rest] = after.get(rest, 0) + weight
-        states = {key: w for key, w in after.items() if w}
-    return states.get((), 0)
-
-
-def _column_fills(limits: tuple[int, ...], budget: int) -> Iterator[tuple[int, ...]]:
-    """Yield ways to place ``budget`` units into slots capped by ``limits``."""
-    slots = len(limits)
-    room = [0] * (slots + 1)  # room[i]: what slots i.. can hold together
-    for i in range(slots - 1, -1, -1):
-        room[i] = room[i + 1] + limits[i]
-    if room[0] < budget:
-        return
-    take = [0] * slots
-    stack = [(-1, 0, budget)]  # slot i takes c, leaving `left` for the rest
-    while stack:
-        i, c, left = stack.pop()
-        if i >= 0:
-            take[i] = c
-        i += 1
-        if i == slots - 1:
-            take[i] = left  # the room check guarantees left <= limits[i]
-            yield tuple(take)
-            continue
-        for c in range(max(0, left - room[i + 1]), min(limits[i], left) + 1):
-            stack.append((i, c, left - c))
+    for fills, weight in states.items():
+        classes = [(0, n - len(fills), fills)] if n > len(fills) else []
+        for u in sorted(set(fills) - {m}):  # full columns take nothing more
+            g = fills.count(u)
+            classes.append((u, g, fills[fills.index(u) + g :]))  # fills above u
+        room = [0] * (len(classes) + 1)  # units that classes c.. can still take
+        for c in range(len(classes) - 1, -1, -1):
+            room[c] = room[c + 1] + classes[c][1] * (m - classes[c][0])
+        # class, least increment left, its columns left, units left, ways, fills
+        stack = [(0, 1, classes[0][1], q, weight, ())] if room[0] >= q else []
+        while stack:
+            c, low, free, left, ways, done = stack.pop()
+            u, _, rest = classes[c]
+            kept = (u,) * free if u else ()
+            if not left:
+                key = tuple(sorted(done + kept + rest))
+                into[key] = into.get(key, 0) + ways
+                continue
+            if room[c + 1] >= left:
+                stack.append((c + 1, 1, classes[c + 1][1], left, ways, done + kept))
+            for t in range(low, min(m - u, left) + 1):
+                for k in range(1, min(free, left // t) + 1):
+                    if left - k * t > (free - k) * (m - u) + room[c + 1]:
+                        break  # k columns stuck at +t leave too little room
+                    stack.append((c, t + 1, free - k, left - k * t,
+                                  ways * comb(free, k), done + (u + t,) * k))
+    return into
 
 
 def count_via_jacobi_trudi(descents: DescentSet, n: int, m: int) -> int:
     """The determinant route to the multiset descent count.
 
-    Builds the ribbon for the descent set, expands its determinant, nets
-    the signs of terms with the same degree multiset, and takes the signed
-    sum of their rectangular-monomial coefficients in one column DP.  When
-    n*m <= largest there is no ribbon and no word: the count is 0, as on
-    every other route.
+    A coarsening of the ribbon's rows is a chain through the prefix ends
+    0 = e_0 < ... < e_k = largest plus a top block.  Grouping the chains by
+    their last end, G[0] = {(): 1} and G[j] = -sum_{i<j} _place(G[i], e_j -
+    e_i); the top block fills every column up to m in one way, so the count
+    is (-1)**k times the total weight of all the G[i].  When n*m <= largest
+    there is no ribbon and no word: the count is 0, as on every other route.
     """
     require_positive(n=n, m=m)
     if descents.largest >= n * m:
         return 0  # no successor position left for the final descent
-    shape = ribbon_shape(descents, n, m)
-    net: dict[tuple[int, ...], int] = {}
-    for sign, degrees in jacobi_trudi_terms(shape):
-        key = tuple(sorted(degrees))
-        net[key] = net.get(key, 0) + sign
-    return _signed_fill(net, n, m)
+    ends = (0, *descents.elements)
+    chain = [{(): 1}]
+    for e in ends[1:]:
+        reached: dict[tuple[int, ...], int] = {}
+        for f, states in zip(ends, chain):
+            _place(states, e - f, n, m, reached)
+        chain.append({key: -w for key, w in reached.items() if w})
+    total = sum(sum(states.values()) for states in chain)
+    return -total if len(descents) % 2 else total

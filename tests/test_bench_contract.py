@@ -4,8 +4,9 @@
 rename would only surface when a traced benchmark run crashes.  The demos
 are scripts nothing else runs.  The count-wide references were cross-checked
 by reflection when recorded, so the determinant route must reproduce them;
-the recurrence must reproduce the count-dense references, and the verify
-reports must keep the recorded verify-full check counts.
+the recurrence and the determinant route must reproduce the count-dense
+references, and the verify reports must keep the recorded verify-full check
+counts.
 The harness's own smoke check runs here too, so a library change that
 breaks the harness fails in the tests and not only at benchmark time.
 """
@@ -60,15 +61,23 @@ def test_jacobi_trudi_reproduces_the_count_wide_references():
     assert wrong == []
 
 
-def test_recurrence_reproduces_the_count_dense_references():
+def count_dense_mismatches(route):
     refs = json.loads((ROOT / "perfbench" / "refs" / "count-dense.json").read_text())
     assert len(refs) == 3477
     wrong = []
     for key, expected in refs.items():
         elements, n, m = ast.literal_eval(key)
-        if descent_count(DescentSet(elements), n, m) != expected:
+        if route(DescentSet(elements), n, m) != expected:
             wrong.append(key)
-    assert wrong == []
+    return wrong
+
+
+def test_recurrence_reproduces_the_count_dense_references():
+    assert count_dense_mismatches(descent_count) == []
+
+
+def test_jacobi_trudi_reproduces_the_count_dense_references():
+    assert count_dense_mismatches(count_via_jacobi_trudi) == []
 
 
 def test_closed_form_reproduces_the_stable_coeffs_references():

@@ -244,6 +244,22 @@ def test_count_recurrence_reaches_a_descent_at_1100():
     assert proc.stdout.split() == ["recurrence", str(comb(1200, 1100) - 1)]
 
 
+def test_count_jacobi_trudi_answers_a_huge_alphabet():
+    # walking the n columns would not end; the timeout turns that into a failure
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "multidescent",
+            "count", "--set", "5", "--n", "99999999999", "--m", "1",
+            "--method", "jacobi-trudi",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["jacobi-trudi", str(comb(99999999999, 5) - 1)]
+
+
 def test_count_recurrence_passes_the_budget(capsys, monkeypatch):
     seen = []
     def record(ds, n, m, budget):

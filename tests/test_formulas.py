@@ -158,7 +158,8 @@ def content_split(ds, n, m):
     multiplicity vector, times the ways to choose the values it uses."""
     return sum(
         count_content(parts, ds) * binom_poly(n, len(parts))
-        for parts in compositions(ds.largest, m)
+        for parts in compositions(ds.largest)
+        if max(parts) <= m
     )
 
 

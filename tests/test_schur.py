@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multidescent import formulas, schur
 from multidescent.core import DescentSet, DomainError
 from multidescent.formulas import descent_count
 from multidescent.oracle import count_naive, count_prefix
@@ -265,6 +266,50 @@ def test_count_via_jacobi_trudi_has_no_recursion_ceiling(a):
     # one descent at a among 1200 distinct letters: choose the first a
     # letters, minus the one choice that leaves the word sorted
     assert count_via_jacobi_trudi(DescentSet((a,)), 1200, 1) == comb(1200, a) - 1
+
+
+def test_count_via_jacobi_trudi_lists_no_terms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the route built a ribbon or listed coarsenings")
+
+    for owner, name in [
+        (schur, "ribbon_shape"),
+        (schur, "jacobi_trudi_terms"),
+        (schur, "signed_coarsenings"),
+        (formulas, "compositions"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
+    assert count_via_jacobi_trudi(DescentSet((2, 4)), 3, 3) == 16
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_count_via_jacobi_trudi_at_a_huge_alphabet(m):
+    # n enters only through binomials, so no loop runs over the columns
+    ds, n = DescentSet((5,)), 99999999999
+    value = count_via_jacobi_trudi(ds, n, m)
+    assert value == descent_count(ds, n, m)
+    if m == 1:
+        assert value == comb(n, 5) - 1
+
+
+def test_count_via_jacobi_trudi_sums_the_expanded_determinant():
+    # the route never lists the terms; the public expansion must agree
+    sets = [
+        DescentSet(c)
+        for size in range(1, 7)
+        for c in combinations(range(1, 7), size)
+    ]
+    points = 0
+    for ds in sets:
+        for n in range(1, 6):
+            for m in range(1, 5):
+                if n * m <= ds.largest:
+                    continue
+                terms = jacobi_trudi_terms(ribbon_shape(ds, n, m))
+                expanded = sum(sign * rect_coeff(deg, n, m) for sign, deg in terms)
+                assert count_via_jacobi_trudi(ds, n, m) == expanded, (ds, n, m)
+                points += 1
+    assert points == 673
 
 
 @given(
