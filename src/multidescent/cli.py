@@ -27,14 +27,14 @@ EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 EXIT_BUDGET = 4
 
-# Every route answers every n, m >= 1 (0 when n*m <= max(I)) within its
-# budget; prefix and Jacobi-Trudi refuse the empty set.  Each route is looked
+# Each route takes (descents, n, m, budget) and answers every n, m >= 1 within
+# the budget, but prefix and Jacobi-Trudi refuse the empty set.  Each is looked
 # up on its module when called, so a patched or traced binding is what runs.
 ROUTES = {
-    "naive": lambda ds, n, m, budget: oracle.count_naive(ds, n, m, budget),
-    "prefix": lambda ds, n, m, budget: oracle.count_prefix(ds, n, m, budget),
-    "recurrence": lambda ds, n, m, budget: formulas.descent_count(ds, n, m, budget),
-    "jacobi-trudi": lambda ds, n, m, budget: schur.count_via_jacobi_trudi(ds, n, m),
+    "naive": lambda *args: oracle.count_naive(*args),
+    "prefix": lambda *args: oracle.count_prefix(*args),
+    "recurrence": lambda *args: formulas.descent_count(*args),
+    "jacobi-trudi": lambda *args: schur.count_via_jacobi_trudi(*args),
 }
 
 
@@ -94,10 +94,10 @@ def build_parser() -> _Parser:
         help="which route to run (default: all; a refusal becomes a skip note)",
     )
     count.add_argument(
-        "--budget-cells",
+        "--budget",
         type=int,
         metavar="N",
-        help="override the n*m cap on full enumeration",
+        help=f"cap on each route's work (default {oracle.DEFAULT_BUDGET.max_work})",
     )
     count.add_argument("--format", choices=("text", "json"), default="text")
     count.set_defaults(handler=_cmd_count)
@@ -150,11 +150,7 @@ def build_parser() -> _Parser:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     ds = parse_set(args.set)
-    budget = None
-    if args.budget_cells is not None:
-        if args.budget_cells < 1:
-            raise UsageError("--budget-cells must be positive")
-        budget = oracle.EnumerationBudget(max_total_cells=args.budget_cells)
+    budget = None if args.budget is None else oracle.EnumerationBudget(args.budget)
     chosen = ROUTES if args.method == "all" else (args.method,)
     results: dict[str, int] = {}
     refusals: list[Exception] = []
@@ -274,7 +270,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for n in range(n_lo, n_hi + 1)
         for m in range(m_lo, m_hi + 1)
     ]
-    rows.sort(key=lambda row: (row[0], row[1]))
     if args.format == "json":
         payload = {
             "set": list(ds),

@@ -17,7 +17,6 @@ from math import factorial, prod
 from typing import Callable, Iterator, Sequence
 
 from .core import (
-    BudgetExceededError,
     DescentSet,
     DomainError,
     block_sums,
@@ -64,11 +63,12 @@ def bounded_sequence_count(
     reached after r values adds its ways times binom(n, r).  There are at
     most 2**largest states; T is built on an explicit stack in increasing
     position order from the feasible positions only, and the budget's
-    ``max_prefix_states`` caps the (state, T) transitions of one call.
+    ``max_work`` caps the (state, T) transitions of one call.
     Valid for every n, m >= 1.
     """
     require_positive(n=n, m=m)
-    limit = (budget or DEFAULT_BUDGET).max_prefix_states
+    budget = budget or DEFAULT_BUDGET
+    limit = budget.max_work
     length = descents.largest
     full = (1 << (length + 1)) - 2  # bit q stands for position q
     drops = sum(1 << p for p in descents.elements[:-1])
@@ -97,10 +97,7 @@ def bounded_sequence_count(
                     options ^= low
                     moves += 1
                     if moves > limit:
-                        raise BudgetExceededError(
-                            f"the insertion DP made more than "
-                            f"max_prefix_states = {limit} transitions"
-                        )
+                        raise budget.refusal("transitions of the insertion DP")
                     state = filled | chosen | low
                     reached[state] = reached.get(state, 0) + ways
                     if size + 1 < m:

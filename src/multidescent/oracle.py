@@ -24,21 +24,20 @@ from .core import (
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Caps that keep brute-force enumeration at desk scale.
+    """The one work cap, a positive ``int`` (nothing is coerced), that every
+    counting route charges in its own unit: full enumeration its
+    arrangements, a word walk the values it places, the recurrence's DP its
+    (state, T) transitions, the Jacobi-Trudi chain its placements.  Passing
+    it raises ``BudgetExceededError`` naming ``max_work``."""
 
-    ``max_total_cells`` bounds n*m for full multiset enumeration;
-    ``max_prefix_states`` bounds the values placed by one word walk of this
-    module, or the (state, T) transitions of one insertion DP of the
-    recurrence route.  Both caps are positive ``int``s; nothing is coerced.
-    """
-
-    max_total_cells: int = 12
-    max_prefix_states: int = 10_000_000
+    max_work: int = 10_000_000
 
     def __post_init__(self) -> None:
-        caps = (self.max_total_cells, self.max_prefix_states)
-        if min(strict_ints(caps, "budget caps")) < 1:
-            raise DomainError("budget caps must be positive")
+        require_positive(max_work=self.max_work)
+
+    def refusal(self, work: str) -> BudgetExceededError:
+        """The error a route raises once its ``work`` passes the cap."""
+        return BudgetExceededError(f"{work}, more than max_work = {self.max_work}")
 
 
 DEFAULT_BUDGET = EnumerationBudget()
@@ -51,16 +50,17 @@ def count_naive(
 
     Visits every distinct arrangement once, via lexicographic
     next-permutation from the sorted word, and checks the descent pattern
-    directly.  Refuses to start when n*m exceeds the budget.
+    directly.  Refuses to start when the (n*m)! / (m!)**n arrangements, or
+    the n*m cells of one word, exceed the budget's ``max_work``.
     """
     require_positive(n=n, m=m)
     budget = budget or DEFAULT_BUDGET
     cells = n * m
-    if cells > budget.max_total_cells:
-        raise BudgetExceededError(
-            f"full enumeration needs n*m = {cells} cells; "
-            f"budget allows max_total_cells = {budget.max_total_cells}"
-        )
+    arrangements = 1  # one copy of one value at a time: it never shrinks
+    for size in range(1, cells + 1):
+        arrangements = arrangements * size // ((size - 1) // n + 1)
+        if max(cells, arrangements) > budget.max_work:
+            raise budget.refusal(f"full enumeration at n = {n}, m = {m}")
     # Descents live between adjacent positions, so anything at or past the
     # final position can never be realized.
     if descents and descents.largest >= cells:
@@ -92,7 +92,7 @@ def count_naive(
 def _pattern_words(
     descents: DescentSet,
     caps: Sequence[int],
-    limit: int = DEFAULT_BUDGET.max_prefix_states,
+    budget: EnumerationBudget = DEFAULT_BUDGET,
 ) -> Iterator[tuple[int, list[int]]]:
     """Yield ``(last value, usage)`` for every word of length ``largest`` over
     1..len(caps) that uses each value v at most ``caps[v-1]`` times and drops
@@ -103,8 +103,8 @@ def _pattern_words(
     a depth-first search on an explicit stack, the value and the range of
     values still open at each position, so memory is O(largest + len(caps))
     and no length meets a recursion limit.  Nothing is memoized or merged:
-    every word is reached on its own.  Placing more than ``limit`` values
-    raises.
+    every word is reached on its own.  Placing more than the budget's
+    ``max_work`` values raises.
     """
     length = descents.largest
     falls = [False] * length  # falls[p]: the word drops after position p
@@ -116,7 +116,7 @@ def _pattern_words(
     word = [0] * length  # word[p]: the value at position p, 0 before the first
     lo = [1] * (length + 1)  # position p takes values in range(lo[p], hi[p])
     hi = [top] * (length + 1)
-    over = f"a word walk placed more than max_prefix_states = {limit} values"
+    limit = budget.max_work
     placed = 0
     pos = 1
     while pos:
@@ -125,7 +125,7 @@ def _pattern_words(
                 if usage[value] < cap[value]:
                     placed += 1
                     if placed > limit:
-                        raise BudgetExceededError(over)
+                        raise budget.refusal("values placed by a word walk")
                     usage[value] += 1
                     yield value, usage
                     usage[value] -= 1
@@ -146,7 +146,7 @@ def _pattern_words(
             continue
         placed += 1
         if placed > limit:
-            raise BudgetExceededError(over)
+            raise budget.refusal("values placed by a word walk")
         usage[value] += 1
         word[pos] = value
         if falls[pos]:
@@ -170,9 +170,8 @@ def count_prefix(
     require_positive(n=n, m=m)
     if descents.largest >= n * m:
         return 0  # no successor position left for the final descent
-    limit = (budget or DEFAULT_BUDGET).max_prefix_states
     count = 0
-    for last, usage in _pattern_words(descents, (m,) * n, limit):
+    for last, usage in _pattern_words(descents, (m,) * n, budget or DEFAULT_BUDGET):
         lowest = 1
         while usage[lowest] == m:
             lowest += 1
@@ -199,14 +198,15 @@ def count_content(parts: Sequence[int], descents: DescentSet) -> int:
 
 
 def _free_words(
-    descents: DescentSet, values: int, skip_one: bool = False
+    descents: DescentSet, i: int, skip_one: bool = False
 ) -> Iterator[tuple[int, list[int]]]:
-    """The witness counters' words: length ``largest`` over 1..values, each
-    value free to repeat, value 1 left out when ``skip_one``."""
-    if values < 1:
-        raise DomainError(f"coefficient index must be >= 0, got {values - 1}")
+    """The witness counters' words for index ``i``: length ``largest`` over
+    1..i+1, each value free to repeat, value 1 left out when ``skip_one``."""
+    strict_ints((i,), "coefficient index")
+    if i < 0:
+        raise DomainError(f"coefficient index must be >= 0, got {i}")
     free = descents.largest
-    return _pattern_words(descents, (0 if skip_one else free,) + (free,) * (values - 1))
+    return _pattern_words(descents, (0 if skip_one else free,) + (free,) * i)
 
 
 def count_last_fixed(descents: DescentSet, n: int, j: int) -> int:
@@ -218,7 +218,7 @@ def count_last_fixed(descents: DescentSet, n: int, j: int) -> int:
     require_positive(n=n, j=j)
     if j > n:
         raise DomainError(f"last value {j} outside 1..{n}")
-    return sum(1 for last, _ in _free_words(descents, n) if last == j)
+    return sum(1 for last, _ in _free_words(descents, n - 1) if last == j)
 
 
 def count_coeff_witnesses(descents: DescentSet, i: int) -> int:
@@ -230,7 +230,7 @@ def count_coeff_witnesses(descents: DescentSet, i: int) -> int:
     """
     return sum(
         1
-        for last, usage in _free_words(descents, i + 1)
+        for last, usage in _free_words(descents, i)
         if last != 1 and all(usage[2:])
     )
 
@@ -241,13 +241,13 @@ def count_onto_upper(descents: DescentSet, i: int) -> int:
     For i = 0 the value set is empty and no word of positive length exists,
     so the count is 0 by convention.
     """
-    return sum(1 for _, usage in _free_words(descents, i + 1, True) if all(usage[2:]))
+    return sum(1 for _, usage in _free_words(descents, i, True) if all(usage[2:]))
 
 
 def count_onto_full(descents: DescentSet, i: int) -> int:
     """Witness words using all of {1, ..., i+1} with last value not 1."""
     return sum(
         1
-        for last, usage in _free_words(descents, i + 1)
+        for last, usage in _free_words(descents, i)
         if last != 1 and all(usage[1:])
     )

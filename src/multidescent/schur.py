@@ -20,6 +20,7 @@ from typing import Iterator, Sequence
 
 from .core import DescentSet, DomainError, require_positive, strict_ints
 from .formulas import signed_coarsenings
+from .oracle import DEFAULT_BUDGET, EnumerationBudget
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,8 @@ def rect_coeff(h_degrees: Sequence[int], n: int, m: int) -> int:
     Equals the number of nonnegative integer matrices with these row sums
     whose n columns each sum to m: zero unless the degrees, nonnegative
     ``int`` values (nothing is coerced), sum to n*m.  The rows are placed
-    largest last, which fills what every column lacks in exactly one way.
+    largest last, which fills what every column lacks in exactly one way;
+    the placements are charged to the default budget's ``max_work``.
     """
     require_positive(n=n, m=m)
     degrees = strict_ints(h_degrees, "degrees")
@@ -130,13 +132,20 @@ def rect_coeff(h_degrees: Sequence[int], n: int, m: int) -> int:
     if sum(degrees) != n * m:
         return 0
     states = {(): 1}
+    spent = 0
     for q in sorted(d for d in degrees if d)[:-1]:
-        states = _place(states, q, n, m, {})
+        reached: dict[tuple[int, ...], int] = {}
+        spent = _place(states, q, n, m, reached, spent, DEFAULT_BUDGET)
+        states = reached
     return sum(states.values())
 
 
-def _place(states: dict, q: int, n: int, m: int, into: dict) -> dict:
-    """Add one row of q units to every state, summing the results into ``into``.
+def _place(
+    states: dict, q: int, n: int, m: int, into: dict, spent: int,
+    budget: EnumerationBudget,
+) -> int:
+    """Add one row of q units to every state, summing the results into ``into``;
+    return ``spent`` plus the placements made, raising past the budget.
 
     A state is the ascending tuple of the positive column fills (parts <= m,
     at most n of them), weighted by the matrices so far that reach it.  The
@@ -146,6 +155,7 @@ def _place(states: dict, q: int, n: int, m: int, into: dict) -> dict:
     these choices class by class, skips empty and full classes, and never
     pushes a frame whose units cannot fit the columns it has left.
     """
+    cap = budget.max_work
     for fills, weight in states.items():
         classes = [(0, n - len(fills), fills)] if n > len(fills) else []
         for u in sorted(set(fills) - {m}):  # full columns take nothing more
@@ -161,6 +171,9 @@ def _place(states: dict, q: int, n: int, m: int, into: dict) -> dict:
             u, _, rest = classes[c]
             kept = (u,) * free if u else ()
             if not left:
+                spent += 1
+                if spent > cap:
+                    raise budget.refusal("Jacobi-Trudi placements")
                 key = tuple(sorted(done + kept + rest))
                 into[key] = into.get(key, 0) + ways
                 continue
@@ -172,10 +185,12 @@ def _place(states: dict, q: int, n: int, m: int, into: dict) -> dict:
                         break  # k columns stuck at +t leave too little room
                     stack.append((c, t + 1, free - k, left - k * t,
                                   ways * comb(free, k), done + (u + t,) * k))
-    return into
+    return spent
 
 
-def count_via_jacobi_trudi(descents: DescentSet, n: int, m: int) -> int:
+def count_via_jacobi_trudi(
+    descents: DescentSet, n: int, m: int, budget: EnumerationBudget | None = None
+) -> int:
     """The determinant route to the multiset descent count.
 
     A coarsening of the ribbon's rows is a chain through the prefix ends
@@ -184,16 +199,19 @@ def count_via_jacobi_trudi(descents: DescentSet, n: int, m: int) -> int:
     e_i); the top block fills every column up to m in one way, so the count
     is (-1)**k times the total weight of all the G[i].  When n*m <= largest
     there is no ribbon and no word: the count is 0, as on every other route.
+    The budget's ``max_work`` caps the placements of the whole chain.
     """
     require_positive(n=n, m=m)
     if descents.largest >= n * m:
         return 0  # no successor position left for the final descent
+    budget = budget or DEFAULT_BUDGET
+    spent = 0
     ends = (0, *descents.elements)
     chain = [{(): 1}]
     for e in ends[1:]:
         reached: dict[tuple[int, ...], int] = {}
         for f, states in zip(ends, chain):
-            _place(states, e - f, n, m, reached)
+            spent = _place(states, e - f, n, m, reached, spent, budget)
         chain.append({key: -w for key, w in reached.items() if w})
     total = sum(sum(states.values()) for states in chain)
     return -total if len(descents) % 2 else total

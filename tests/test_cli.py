@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multidescent import cli
-from multidescent.core import DescentSet, DomainError
+from multidescent.core import BudgetExceededError, DescentSet, DomainError
 from multidescent.formulas import stable_descent_count
 from multidescent.polybasis import extract_coeffs
 
@@ -115,8 +115,8 @@ def test_count_with_no_count_exits_with_the_first_refusal_code(capsys, monkeypat
         (cli.schur, "count_via_jacobi_trudi"),
     ]:
         monkeypatch.setattr(owner, name, refuse)
-    # naive runs first and refuses on its budget, so its code wins
-    code = run_cli("count", "--set", "2", "--n", "3", "--m", "2", "--budget-cells", "5")
+    # naive runs first and refuses its 90 arrangements, so its code wins
+    code = run_cli("count", "--set", "2", "--n", "3", "--m", "2", "--budget", "89")
     captured = capsys.readouterr()
     assert code == cli.EXIT_BUDGET
     assert captured.out == ""
@@ -124,23 +124,70 @@ def test_count_with_no_count_exits_with_the_first_refusal_code(capsys, monkeypat
 
 
 def test_count_budget_refusal_and_override(capsys):
+    # {1,1,2,2,3,3} has 90 arrangements
     code = run_cli(
         "count",
         "--set", "2", "--n", "3", "--m", "2",
         "--method", "naive",
-        "--budget-cells", "5",
+        "--budget", "89",
     )
     assert code == cli.EXIT_BUDGET
-    assert "budget exceeded" in capsys.readouterr().err
+    assert "more than max_work = 89" in capsys.readouterr().err
 
     code = run_cli(
         "count",
         "--set", "2", "--n", "3", "--m", "2",
         "--method", "naive",
-        "--budget-cells", "6",
+        "--budget", "90",
     )
     assert code == cli.EXIT_OK
     assert capsys.readouterr().out.split()[1] == "5"
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_count_rejects_a_nonpositive_budget(capsys, value):
+    code = run_cli("count", "--set", "2", "--n", "3", "--m", "2", "--budget", value)
+    assert code == cli.EXIT_DOMAIN
+    assert "max_work" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(cli.ROUTES))
+def test_every_route_refuses_a_tiny_budget(name):
+    with pytest.raises(BudgetExceededError, match="more than max_work = 1$"):
+        cli.ROUTES[name](DescentSet((2,)), 3, 2, cli.oracle.EnumerationBudget(1))
+
+
+def test_count_naive_refuses_twelve_factorial_at_once():
+    # 12! arrangements passed a cell cap and ran for minutes
+    argv = ["count", "--set", "2", "--n", "12", "--m", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "multidescent", *argv, "--method", "naive"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_BUDGET, proc.stderr
+    assert "more than max_work = 10000000" in proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "multidescent", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stdout.split() == [
+        "prefix", "65", "recurrence", "65", "jacobi-trudi", "65"
+    ]
+    assert "naive: skipped" in proc.stderr
+
+
+def test_count_jacobi_trudi_charges_the_budget(capsys):
+    argv = ["count", "--set", "3,6,9,12,15,18,21,24", "--n", "10", "--m", "4",
+            "--method", "jacobi-trudi"]
+    assert run_cli(*argv, "--budget", "10000") == cli.EXIT_BUDGET
+    assert "more than max_work = 10000" in capsys.readouterr().err
+    assert run_cli(*argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.split() == ["jacobi-trudi", "621815645631372507"]
 
 
 def test_count_disagreement_exits_with_verify_code(capsys, monkeypatch):
@@ -260,16 +307,21 @@ def test_count_jacobi_trudi_answers_a_huge_alphabet():
     assert proc.stdout.split() == ["jacobi-trudi", str(comb(99999999999, 5) - 1)]
 
 
-def test_count_recurrence_passes_the_budget(capsys, monkeypatch):
+def test_count_passes_the_budget_to_every_route(capsys, monkeypatch):
     seen = []
     def record(ds, n, m, budget):
         seen.append(budget)
         return 5
 
-    monkeypatch.setattr(cli.formulas, "descent_count", record)
-    run_cli("count", "--set", "2", "--n", "3", "--m", "2", "--method", "recurrence",
-            "--budget-cells", "6")
-    assert seen == [cli.oracle.EnumerationBudget(max_total_cells=6)]
+    for owner, name in [
+        (cli.oracle, "count_naive"),
+        (cli.oracle, "count_prefix"),
+        (cli.formulas, "descent_count"),
+        (cli.schur, "count_via_jacobi_trudi"),
+    ]:
+        monkeypatch.setattr(owner, name, record)
+    run_cli("count", "--set", "2", "--n", "3", "--m", "2", "--budget", "6")
+    assert seen == [cli.oracle.EnumerationBudget(max_work=6)] * 4
 
 
 def test_dinf_rejects_nonpositive_n(capsys):

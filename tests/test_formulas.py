@@ -206,11 +206,11 @@ def test_descent_count_reaches_a_descent_at_1100():
 
 
 def test_descent_count_budget_caps_the_dp_transitions():
-    tight = EnumerationBudget(max_prefix_states=10_000)
+    tight = EnumerationBudget(max_work=10_000)
     ds = DescentSet(tuple(range(2, 25, 2)))
-    with pytest.raises(BudgetExceededError, match="max_prefix_states = 10000"):
+    with pytest.raises(BudgetExceededError, match="max_work = 10000"):
         descent_count(ds, 26, 2, tight)
-    with pytest.raises(BudgetExceededError, match="max_prefix_states = 10000"):
+    with pytest.raises(BudgetExceededError, match="max_work = 10000"):
         bounded_sequence_count(ds, 26, 2, budget=tight)
 
 

@@ -58,18 +58,30 @@ def test_count_naive_descent_beyond_word_is_zero():
 
 
 def test_count_naive_budget_refusal_names_the_bound():
-    with pytest.raises(BudgetExceededError, match="max_total_cells = 12"):
-        count_naive(DescentSet((2,)), 4, 4)
-    tight = EnumerationBudget(max_total_cells=5)
-    with pytest.raises(BudgetExceededError, match="max_total_cells = 5"):
-        count_naive(DescentSet((2,)), 3, 2, budget=tight)
+    # {1,1,2,2,3,3} has 6!/2!**3 = 90 arrangements
+    with pytest.raises(BudgetExceededError, match="max_work = 89"):
+        count_naive(DescentSet((2,)), 3, 2, budget=EnumerationBudget(89))
+    assert count_naive(DescentSet((2,)), 3, 2, budget=EnumerationBudget(90)) == 5
+    # 12! arrangements, and one word of 10**11 cells, refused before any work
+    with pytest.raises(BudgetExceededError, match="max_work = 10000000"):
+        count_naive(DescentSet((2,)), 12, 1)
+    with pytest.raises(BudgetExceededError, match="max_work = 10000000"):
+        count_naive(DescentSet((5,)), 1, 10**11)
 
 
-@pytest.mark.parametrize("cap", ["max_total_cells", "max_prefix_states"])
+@pytest.mark.parametrize(
+    "elements,n,m", [((2, 5), 2, 8), ((2,), 3, 5)], ids=["12870", "756756"]
+)
+def test_count_naive_charges_arrangements_not_cells(elements, n, m):
+    # more than 12 cells, few enough arrangements for the default budget
+    ds = DescentSet(elements)
+    assert count_naive(ds, n, m) == count_prefix(ds, n, m)
+
+
 @pytest.mark.parametrize("value", [True, 2.5, 7.9, "12", 0])
-def test_budget_caps_must_be_positive_ints(cap, value):
+def test_budget_caps_must_be_positive_ints(value):
     with pytest.raises(DomainError):
-        EnumerationBudget(**{cap: value})
+        EnumerationBudget(max_work=value)
 
 
 def test_count_naive_rejects_bad_sizes():
@@ -100,8 +112,8 @@ def test_count_prefix_strict_word():
 
 
 def test_count_prefix_budget_cap():
-    tiny = EnumerationBudget(max_prefix_states=3)
-    with pytest.raises(BudgetExceededError, match="max_prefix_states = 3"):
+    tiny = EnumerationBudget(max_work=3)
+    with pytest.raises(BudgetExceededError, match="max_work = 3"):
         count_prefix(DescentSet((2, 4)), 4, 2, budget=tiny)
 
 
@@ -189,6 +201,15 @@ def test_count_onto_frozen_values():
     assert count_onto_full(ds, 1) == 1  # (1,2)
     assert count_onto_upper(ds, 0) == 0  # empty alphabet
     assert count_onto_full(ds, 0) == 0
+
+
+@pytest.mark.parametrize(
+    "counter", [count_coeff_witnesses, count_onto_upper, count_onto_full]
+)
+@pytest.mark.parametrize("index", [1.0, "1", True, -1])
+def test_witness_counters_take_only_int_indices(counter, index):
+    with pytest.raises(DomainError):
+        counter(DescentSet((2,)), index)
 
 
 def test_witnesses_split_by_presence_of_one():
@@ -283,7 +304,5 @@ def test_walks_have_no_recursion_ceiling():
 
 
 def test_count_prefix_budget_trips_on_a_deep_walk():
-    with pytest.raises(BudgetExceededError, match="max_prefix_states = 10000"):
-        count_prefix(
-            DescentSet((1100,)), 1200, 1, EnumerationBudget(max_prefix_states=10_000)
-        )
+    with pytest.raises(BudgetExceededError, match="max_work = 10000"):
+        count_prefix(DescentSet((1100,)), 1200, 1, EnumerationBudget(max_work=10_000))

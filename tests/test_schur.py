@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multidescent import formulas, schur
-from multidescent.core import DescentSet, DomainError
+from multidescent.core import BudgetExceededError, DescentSet, DomainError
 from multidescent.formulas import descent_count
-from multidescent.oracle import count_naive, count_prefix
+from multidescent.oracle import EnumerationBudget, count_naive, count_prefix
 from multidescent.schur import (
     Partition,
     RibbonShape,
@@ -290,6 +290,28 @@ def test_count_via_jacobi_trudi_at_a_huge_alphabet(m):
     assert value == descent_count(ds, n, m)
     if m == 1:
         assert value == comb(n, 5) - 1
+
+
+def test_count_via_jacobi_trudi_charges_its_placements():
+    ds = DescentSet(tuple(range(3, 25, 3)))
+    with pytest.raises(BudgetExceededError, match="max_work = 10000"):
+        count_via_jacobi_trudi(ds, 10, 4, EnumerationBudget(10_000))
+
+
+def test_count_via_jacobi_trudi_stops_inside_one_state(monkeypatch):
+    # the empty state alone places 60 units in p(60) = 966,467 ways, so the
+    # route must stop mid-state; count the frames through their weights
+    calls = []
+    monkeypatch.setattr(schur, "comb", lambda *args: calls.append(args) or comb(*args))
+    with pytest.raises(BudgetExceededError, match="max_work = 1000"):
+        count_via_jacobi_trudi(DescentSet((60,)), 60, 60, EnumerationBudget(1000))
+    assert len(calls) < 100_000
+
+
+def test_rect_coeff_charges_the_default_budget(monkeypatch):
+    monkeypatch.setattr(schur, "DEFAULT_BUDGET", EnumerationBudget(2))
+    with pytest.raises(BudgetExceededError, match="max_work = 2"):
+        rect_coeff([2, 2, 2], 3, 2)
 
 
 def test_count_via_jacobi_trudi_sums_the_expanded_determinant():
