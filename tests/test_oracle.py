@@ -78,10 +78,14 @@ def test_count_naive_charges_arrangements_not_cells(elements, n, m):
     assert count_naive(ds, n, m) == count_prefix(ds, n, m)
 
 
+@pytest.mark.parametrize("cap", ["max_total_cells", "max_prefix_states"])
 @pytest.mark.parametrize("value", [True, 2.5, 7.9, "12", 0])
-def test_budget_caps_must_be_positive_ints(value):
+def test_budget_caps_must_be_positive_ints(cap, value):
+    # max_work is the one cap; the two it replaced are refused, not aliased
     with pytest.raises(DomainError):
         EnumerationBudget(max_work=value)
+    with pytest.raises(TypeError, match=cap):
+        EnumerationBudget(**{cap: value})
 
 
 def test_count_naive_rejects_bad_sizes():
