@@ -29,17 +29,23 @@ def require_positive(**named: int) -> None:
     """Raise DomainError unless every named argument is an ``int`` (not a
     ``bool``) of at least 1."""
     for name, value in named.items():
-        strict_ints((value,), name)
-        if value < 1:
-            raise DomainError(f"{name} must be >= 1, got {value}")
+        strict_ints((value,), name, 1)
 
 
-def strict_ints(values: Iterable[object], what: str) -> tuple[int, ...]:
-    """The values as a tuple; a non-``int`` or a ``bool`` is never coerced."""
+def strict_ints(
+    values: Iterable[object], what: str, low: int | None = None
+) -> tuple[int, ...]:
+    """The values as a tuple, the one check of integer arguments.
+
+    Raises DomainError for a non-``int`` or a ``bool`` (nothing is coerced)
+    and, when ``low`` is given, for a value below it.
+    """
     items = tuple(values)
     for x in items:
         if isinstance(x, bool) or not isinstance(x, int):
             raise DomainError(f"{what} must be integers, got {x!r}")
+        if low is not None and x < low:
+            raise DomainError(f"{what} must be >= {low}, got {x}")
     return items
 
 
@@ -57,9 +63,7 @@ class DescentSet:
     elements: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        items = tuple(sorted(set(strict_ints(self.elements, "descent positions"))))
-        if items and items[0] < 1:
-            raise DomainError(f"descent positions must be >= 1, got {items[0]}")
+        items = tuple(sorted(set(strict_ints(self.elements, "descent positions", 1))))
         object.__setattr__(self, "elements", items)
 
     def __len__(self) -> int:
@@ -156,8 +160,7 @@ def block_sums(weights: Sequence[int], parts: Sequence[int]) -> tuple[int, ...]:
     The block sizes must be positive and sum to ``len(weights)``; the result
     has one entry per block and preserves the total.
     """
-    if any(p < 1 for p in parts):
-        raise DomainError("block sizes must be positive")
+    strict_ints(parts, "block sizes", 1)
     if sum(parts) != len(weights):
         raise DomainError(
             f"block sizes sum to {sum(parts)}, expected {len(weights)}"

@@ -13,7 +13,7 @@ binomial products; ``signed_coarsenings`` is the explicit expansion, which
 
 from __future__ import annotations
 
-from math import factorial, prod
+from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .core import (
@@ -31,13 +31,14 @@ from .oracle import count_content  # noqa: F401  perfbench/spans.py traces this 
 def binom_poly(n: int, r: int) -> int:
     """Binomial coefficient read as a degree-r polynomial in ``n``.
 
-    Computes n(n-1)...(n-r+1)/r!, which is exact for every integer ``n``,
-    negative included; the product of r consecutive integers is always
-    divisible by r!.
+    Equals n(n-1)...(n-r+1)/r! for every integer ``n``, negative included.
+    It is evaluated by ``math.comb``, through the reflection
+    binom(n, r) = (-1)**r * binom(r-n-1, r) when n < 0, so no product of r
+    factors is formed.
     """
     if r < 0:
         raise DomainError(f"binomial order must be >= 0, got {r}")
-    return prod(range(n, n - r, -1)) // factorial(r)
+    return comb(n, r) if n >= 0 else (-1) ** r * comb(r - n - 1, r)
 
 
 def stabilization_point(descents: DescentSet) -> int:
@@ -67,14 +68,20 @@ def bounded_sequence_count(
     Valid for every n, m >= 1.
     """
     require_positive(n=n, m=m)
-    budget = budget or DEFAULT_BUDGET
+    return _insert_values(descents, n, m, budget or DEFAULT_BUDGET, 0)[0]
+
+
+def _insert_values(
+    descents: DescentSet, n: int, m: int, budget: EnumerationBudget, moves: int
+) -> tuple[int, int]:
+    """The DP of :func:`bounded_sequence_count`; return its count and
+    ``moves`` plus the transitions made, raising past the budget."""
     limit = budget.max_work
     length = descents.largest
     full = (1 << (length + 1)) - 2  # bit q stands for position q
     drops = sum(1 << p for p in descents.elements[:-1])
     after_rise = (full & ~drops & ~(1 << length)) << 1  # q-1 to q may not drop
     total = 0
-    moves = 0
     frontier = {0: 1}
     for r in range(1, min(n, length) + 1):
         reached: dict[int, int] = {}
@@ -106,7 +113,7 @@ def bounded_sequence_count(
         if not reached:
             break
         frontier = reached
-    return total
+    return total, moves
 
 
 def descent_count(
@@ -119,19 +126,22 @@ def descent_count(
     at each level the bounded sequence count splits into the words where the
     final compared position does or does not drop.  When the largest element
     has no successor position the count is zero, and no level is computed.
-    The budget caps each level's DP transitions.
+    The budget's ``max_work`` caps the DP transitions of all levels together.
     """
     require_positive(n=n, m=m)
     if descents and descents.largest >= n * m:
         return 0
+    budget = budget or DEFAULT_BUDGET
     chain = []
     cur = descents
     while cur:
         chain.append(cur)
         cur = cur.without_largest
     value = 1  # empty descent set: only the fully sorted word
+    moves = 0
     for level in reversed(chain):
-        value = bounded_sequence_count(level, n, m, budget) - value
+        words, moves = _insert_values(level, n, m, budget, moves)
+        value = words - value
     return value
 
 

@@ -26,9 +26,10 @@ from .core import (
 class EnumerationBudget:
     """The one work cap, a positive ``int`` (nothing is coerced), that every
     counting route charges in its own unit: full enumeration its
-    arrangements, a word walk the values it places, the recurrence's DP its
-    (state, T) transitions, the Jacobi-Trudi chain its placements.  Passing
-    it raises ``BudgetExceededError`` naming ``max_work``."""
+    arrangements, a word walk the values it places, the recurrence the
+    (state, T) transitions of all its levels' DPs, the Jacobi-Trudi chain
+    its placements.  Passing it raises ``BudgetExceededError`` naming
+    ``max_work``."""
 
     max_work: int = 10_000_000
 
@@ -188,9 +189,7 @@ def count_content(parts: Sequence[int], descents: DescentSet) -> int:
     Only the relative order of values matters, so this count is the same for
     any alphabet of ``len(parts)`` values.
     """
-    parts = strict_ints(parts, "content parts")
-    if any(p < 1 for p in parts):
-        raise DomainError("content parts must be positive")
+    parts = strict_ints(parts, "content parts", 1)
     if sum(parts) != descents.largest:
         raise DomainError(f"content sums to {sum(parts)}, expected {descents.largest}")
     # Caps that add up to the length are met exactly by every word.
@@ -202,9 +201,7 @@ def _free_words(
 ) -> Iterator[tuple[int, list[int]]]:
     """The witness counters' words for index ``i``: length ``largest`` over
     1..i+1, each value free to repeat, value 1 left out when ``skip_one``."""
-    strict_ints((i,), "coefficient index")
-    if i < 0:
-        raise DomainError(f"coefficient index must be >= 0, got {i}")
+    strict_ints((i,), "coefficient index", 0)
     free = descents.largest
     return _pattern_words(descents, (0 if skip_one else free,) + (free,) * i)
 

@@ -46,11 +46,11 @@ class BinomialBasisPoly:
         return len(self.coeffs) - 1
 
     def coefficient(self, i: int) -> int:
-        if i < 0:
-            raise DomainError(f"coefficient index must be >= 0, got {i}")
+        strict_ints((i,), "coefficient index", 0)
         return self.coeffs[i] if i < len(self.coeffs) else 0
 
     def evaluate(self, n: int) -> int:
+        strict_ints((n,), "n")
         return sum(
             c * binom_poly(n + self.offset, i) for i, c in enumerate(self.coeffs)
         )
@@ -95,6 +95,7 @@ def extract_coeffs(descents: DescentSet, offset: int) -> BinomialBasisPoly:
     against fresh evaluations beyond the sampled window; either failure
     raises, since it would mean the library contradicts itself.
     """
+    strict_ints((offset,), "offsets")
     degree = descents.largest
     level = [stable_descent_count(descents, -offset + j) for j in range(degree + 2)]
     coeffs = [level[0]]
@@ -119,25 +120,16 @@ def extract_coeffs(descents: DescentSet, offset: int) -> BinomialBasisPoly:
 def shift_basis(poly: BinomialBasisPoly, new_offset: int) -> BinomialBasisPoly:
     """Re-express a polynomial over the base at a different offset.
 
-    Lowering the offset uses the Pascal split
-    binom(n+k, i) = binom(n+k-1, i) + binom(n+k-1, i-1); raising it uses the
-    alternating inversion binom(n+k, i) = sum_j (-1)^(i-j) binom(n+k+1, j),
-    whose new coefficients c'_j = sum_{i>=j} (-1)^(i-j) c_i follow the suffix
-    recurrence c'_j = c_j - c'_{j+1}.  Each step is O(degree) and keeps every
-    coefficient an integer.
+    Vandermonde's identity binom(n+k, i) = sum_j binom(n+k', j) *
+    binom(k-k', i-j), for the old offset k and the new one k', holds for
+    every integer k - k', so the new coefficients are
+    c'_j = sum_{i>=j} c_i * binom(k-k', i-j): O(degree**2) integer products
+    however far the offset moves.
     """
-    coeffs = list(poly.coeffs)
-    k = poly.offset
-    while k > new_offset:
-        for i in range(len(coeffs) - 1):
-            coeffs[i] += coeffs[i + 1]
-        k -= 1
-    while k < new_offset:
-        tail = 0
-        for j in range(len(coeffs) - 1, -1, -1):
-            tail = coeffs[j] - tail
-            coeffs[j] = tail
-        k += 1
+    strict_ints((new_offset,), "offsets")
+    old = poly.coeffs
+    steps = [binom_poly(poly.offset - new_offset, d) for d in range(len(old))]
+    coeffs = [sum(c * b for c, b in zip(old[j:], steps)) for j in range(len(old))]
     return BinomialBasisPoly(new_offset, tuple(coeffs))
 
 
@@ -221,6 +213,7 @@ def check_prefix_signs(descents: DescentSet) -> Report:
 def sign_survey(descents: DescentSet, k_min: int, k_max: int) -> Report:
     """Sign pattern across offsets: all coefficients nonnegative at offsets
     at or below -1, at least one negative at offsets at or above 0."""
+    strict_ints((k_min, k_max), "offsets")
     if k_min > k_max:
         raise DomainError(f"empty offset range [{k_min},{k_max}]")
     base = extract_coeffs(descents, -1)

@@ -30,11 +30,9 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        cleaned = strict_ints(self.parts, "partition parts")
+        cleaned = strict_ints(self.parts, "partition parts", 0)
         while cleaned and cleaned[-1] == 0:
             cleaned = cleaned[:-1]
-        if any(p < 0 for p in cleaned):
-            raise DomainError("partition parts must be nonnegative")
         if any(cleaned[i] < cleaned[i + 1] for i in range(len(cleaned) - 1)):
             raise DomainError("partition parts must be weakly decreasing")
         object.__setattr__(self, "parts", cleaned)
@@ -126,9 +124,7 @@ def rect_coeff(h_degrees: Sequence[int], n: int, m: int) -> int:
     the placements are charged to the default budget's ``max_work``.
     """
     require_positive(n=n, m=m)
-    degrees = strict_ints(h_degrees, "degrees")
-    if any(d < 0 for d in degrees):
-        raise DomainError("degrees must be nonnegative")
+    degrees = strict_ints(h_degrees, "degrees", 0)
     if sum(degrees) != n * m:
         return 0
     states = {(): 1}

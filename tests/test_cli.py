@@ -262,6 +262,18 @@ def test_stabilized_commands_reach_twenty_five_descents(argv):
     assert proc.stdout.split() == want
 
 
+def test_dinf_at_a_huge_descent():
+    # binom_poly once multiplied out 3 million factors here
+    proc = subprocess.run(
+        [sys.executable, "-m", "multidescent", "dinf", "--set", "3000000", "--n", "2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3000000"]
+
+
 def test_count_prefix_has_no_recursion_ceiling():
     proc = subprocess.run(
         [

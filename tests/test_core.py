@@ -105,16 +105,24 @@ def test_functions_needing_a_descent_reject_the_empty_set(name):
         NEEDS_A_DESCENT[name]()
 
 
-# (function, valid values of the int arguments after the descent set)
+TWO = DescentSet((2,))
+POLY = polybasis.BinomialBasisPoly(-1, (0, 1, 1))
+
+# (function, its first argument, valid values of the int arguments after it)
 TAKES_INTS = {
-    "count_naive": (oracle.count_naive, 3, 2),
-    "count_prefix": (oracle.count_prefix, 3, 2),
-    "descent_count": (formulas.descent_count, 3, 2),
-    "count_via_jacobi_trudi": (schur.count_via_jacobi_trudi, 3, 2),
-    "bounded_sequence_count": (formulas.bounded_sequence_count, 3, 2),
-    "last_fixed_formula": (formulas.last_fixed_formula, 3, 2),
-    "count_last_fixed": (oracle.count_last_fixed, 3, 2),
-    "stable_descent_count": (formulas.stable_descent_count, 3),
+    "count_naive": (oracle.count_naive, TWO, 3, 2),
+    "count_prefix": (oracle.count_prefix, TWO, 3, 2),
+    "descent_count": (formulas.descent_count, TWO, 3, 2),
+    "count_via_jacobi_trudi": (schur.count_via_jacobi_trudi, TWO, 3, 2),
+    "bounded_sequence_count": (formulas.bounded_sequence_count, TWO, 3, 2),
+    "last_fixed_formula": (formulas.last_fixed_formula, TWO, 3, 2),
+    "count_last_fixed": (oracle.count_last_fixed, TWO, 3, 2),
+    "stable_descent_count": (formulas.stable_descent_count, TWO, 3),
+    "extract_coeffs": (polybasis.extract_coeffs, TWO, 0),
+    "shift_basis": (polybasis.shift_basis, POLY, 0),
+    "coefficient": (polybasis.BinomialBasisPoly.coefficient, POLY, 1),
+    "evaluate": (polybasis.BinomialBasisPoly.evaluate, POLY, 3),
+    "sign_survey": (polybasis.sign_survey, TWO, -1, 0),
 }
 
 
@@ -122,12 +130,30 @@ TAKES_INTS = {
 @pytest.mark.parametrize("name", TAKES_INTS)
 def test_int_arguments_are_never_coerced(name, bad):
     # 2.0 for m once counted as 2, True as 1, and "3" ended in a TypeError
-    function, *good = TAKES_INTS[name]
+    function, first, *good = TAKES_INTS[name]
     for slot in range(len(good)):
         args = list(good)
         args[slot] = bad
-        with pytest.raises(DomainError, match="must be integers"):
-            function(DescentSet((2,)), *args)
+        with pytest.raises(DomainError, match=f"must be integers, got {bad!r}"):
+            function(first, *args)
+
+
+BELOW_THE_FLOOR = {
+    "DescentSet": lambda: DescentSet((0,)),
+    "count_content": lambda: oracle.count_content((0, 2), TWO),
+    "count_coeff_witnesses": lambda: oracle.count_coeff_witnesses(TWO, -1),
+    "coefficient": lambda: POLY.coefficient(-1),
+    "Partition": lambda: schur.Partition((-1,)),
+    "rect_coeff": lambda: schur.rect_coeff((-1, 3), 1, 2),
+    "block_sums": lambda: block_sums((1, 2), (0, 2)),
+    "EnumerationBudget": lambda: oracle.EnumerationBudget(0),
+}
+
+
+@pytest.mark.parametrize("name", BELOW_THE_FLOOR)
+def test_int_arguments_below_their_floor_are_refused(name):
+    with pytest.raises(DomainError, match="must be >= "):
+        BELOW_THE_FLOOR[name]()
 
 
 def test_longest_run_known_values():

@@ -1,7 +1,7 @@
 """Closed forms and the recurrence against enumerative ground truth."""
 
 from itertools import combinations, product
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -78,10 +78,10 @@ def test_binom_poly_matches_stdlib_for_nonnegative_arguments():
 
 
 def test_binom_poly_at_negative_arguments():
-    # reflection: binom_poly(-n, r) = (-1)^r * binom(n + r - 1, r)
-    for n in range(1, 8):
-        for r in range(0, 8):
-            assert binom_poly(-n, r) == (-1) ** r * comb(n + r - 1, r)
+    # the falling factorial n(n-1)...(n-r+1) / r!, read off its definition
+    for n in range(-40, 41):
+        for r in range(0, 16):
+            assert binom_poly(n, r) == prod(range(n, n - r, -1)) // factorial(r)
 
 
 def test_binom_poly_order_zero_is_one():
@@ -214,6 +214,15 @@ def test_descent_count_budget_caps_the_dp_transitions():
         bounded_sequence_count(ds, 26, 2, budget=tight)
 
 
+def test_descent_count_budget_covers_all_levels_together():
+    # the eight levels make 168,098 + 45,869 + ... + 3 = 229,761 transitions
+    ds = DescentSet(tuple(range(2, 17, 2)))
+    with pytest.raises(BudgetExceededError, match="max_work = 229760"):
+        descent_count(ds, 18, 2, EnumerationBudget(max_work=229_760))
+    answer = descent_count(ds, 18, 2, EnumerationBudget(max_work=229_761))
+    assert answer == count_via_jacobi_trudi(ds, 18, 2)
+
+
 def test_descent_count_known_value():
     assert descent_count(DescentSet((2,)), 3, 2) == 5
 
@@ -247,7 +256,7 @@ def test_descent_count_zero_computes_no_level(monkeypatch):
     def refuse(*args):
         raise AssertionError("a level was computed for a zero count")
 
-    monkeypatch.setattr(formulas, "bounded_sequence_count", refuse)
+    monkeypatch.setattr(formulas, "_insert_values", refuse)
     assert descent_count(DescentSet((1, 9)), 2, 2) == 0
 
 

@@ -110,6 +110,14 @@ def test_shift_basis_round_trips_exactly():
             assert shift_basis(shift_basis(shifted, k - 1), k) == shifted
 
 
+def test_shift_basis_to_a_huge_offset_and_back():
+    # stepping one offset at a time would take minutes to reach 10**9
+    base = extract_coeffs(DescentSet((2, 4, 5)), -1)
+    far = shift_basis(base, 10**9)
+    assert far.evaluate(7) == base.evaluate(7)
+    assert shift_basis(far, -1) == base
+
+
 def test_shift_basis_agrees_with_direct_extraction():
     for ds in _sets_within(4):
         base = extract_coeffs(ds, -1)
