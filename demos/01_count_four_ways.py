@@ -14,6 +14,15 @@ print("  prefix counting  :", count_prefix(ds, n, m))
 print("  recurrence       :", descent_count(ds, n, m))
 print("  determinant      :", count_via_jacobi_trudi(ds, n, m))
 
+# the empty set asks for no descent at all: only the sorted word 111222333
+# qualifies, and every route counts that one word
+empty = DescentSet()
+print(f"\ndescent set {empty}, n={n}, m={m}")
+print("  full enumeration :", count_naive(empty, n, m))
+print("  prefix counting  :", count_prefix(empty, n, m))
+print("  recurrence       :", descent_count(empty, n, m))
+print("  determinant      :", count_via_jacobi_trudi(empty, n, m))
+
 # every route answers every n and m: with n*m <= 4 there is no position
 # after the last descent, and all four give 0; full enumeration visits at
 # most 12!/(3!)**4 = 369600 arrangements here, well inside its budget

@@ -27,9 +27,9 @@ EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 EXIT_BUDGET = 4
 
-# Each route takes (descents, n, m, budget) and answers every n, m >= 1 within
-# the budget, but prefix and Jacobi-Trudi refuse the empty set.  Each is looked
-# up on its module when called, so a patched or traced binding is what runs.
+# Each route takes (descents, n, m, budget) and answers every descent set, the
+# empty one too, at every n, m >= 1 within the budget.  Each is looked up on its
+# module when called, so a patched or traced binding is what runs.
 ROUTES = {
     "naive": lambda *args: oracle.count_naive(*args),
     "prefix": lambda *args: oracle.count_prefix(*args),
@@ -91,7 +91,7 @@ def build_parser() -> _Parser:
         "--method",
         choices=("all", *ROUTES),
         default="all",
-        help="which route to run (default: all; a refusal becomes a skip note)",
+        help="which route to run (default: all; one over budget is skipped)",
     )
     count.add_argument(
         "--budget",
@@ -153,17 +153,17 @@ def _cmd_count(args: argparse.Namespace) -> int:
     budget = None if args.budget is None else oracle.EnumerationBudget(args.budget)
     chosen = ROUTES if args.method == "all" else (args.method,)
     results: dict[str, int] = {}
-    refusals: list[Exception] = []
+    refusals: list[BudgetExceededError] = []
     for name in chosen:
         try:
             results[name] = ROUTES[name](ds, args.n, args.m, budget)
-        except (DomainError, BudgetExceededError) as exc:
+        except BudgetExceededError as exc:
             if args.method != "all":
                 raise
             refusals.append(exc)
             print(f"{name}: skipped ({exc})", file=sys.stderr)
     if not results:
-        raise refusals[0]  # no count to print: exit with the first refusal's code
+        raise refusals[0]  # no count to print: exit with the budget's code
     agree = len(set(results.values())) <= 1
     if args.format == "json":
         payload = {
@@ -266,7 +266,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     n_lo, n_hi = _parse_span(args.n_range)
     m_lo, m_hi = _parse_span(args.m_range)
     rows = [
-        (n, m, formulas.descent_count(ds, n, m))
+        (n, m, schur.count_via_jacobi_trudi(ds, n, m))
         for n in range(n_lo, n_hi + 1)
         for m in range(m_lo, m_hi + 1)
     ]

@@ -138,8 +138,9 @@ def compositions(total: int) -> Iterator[tuple[int, ...]]:
 
     Output is lazy and lexicographic: for total 3 the order is (1,1,1),
     (1,2), (2,1), (3).  There are 2**(total-1) of them; a total below 1
-    yields nothing.
+    yields nothing; a non-``int`` total is refused.
     """
+    strict_ints((total,), "total")
     if total < 1:
         return
     parts = [1] * total

@@ -36,6 +36,8 @@ def binom_poly(n: int, r: int) -> int:
     binom(n, r) = (-1)**r * binom(r-n-1, r) when n < 0, so no product of r
     factors is formed.
     """
+    if type(n) is not int or type(r) is not int:
+        strict_ints((n, r), "binomial arguments")
     if r < 0:
         raise DomainError(f"binomial order must be >= 0, got {r}")
     return comb(n, r) if n >= 0 else (-1) ** r * comb(r - n - 1, r)

@@ -162,13 +162,15 @@ def count_prefix(
 ) -> int:
     """Count the same words as :func:`count_naive`, but faster.
 
-    A word is determined by its first ``largest`` values: the tail is the
-    unused portion of the multiset in ascending order, so the required final
-    descent holds exactly when the last prefix value exceeds the smallest
-    value not yet used up.  Only the prefixes are walked, pruned by the
-    forced comparisons; the budget caps the values placed.
+    A word is determined by its first ``largest`` values, the rest of the
+    multiset sorted after them (the whole word for the empty set: count 1),
+    so the final descent holds exactly when the last prefix value exceeds
+    the smallest value not yet used up.  Only the prefixes are walked,
+    pruned by the forced comparisons; the budget caps the values placed.
     """
     require_positive(n=n, m=m)
+    if not descents:
+        return 1  # no prefix: the whole word is its sorted tail
     if descents.largest >= n * m:
         return 0  # no successor position left for the final descent
     count = 0

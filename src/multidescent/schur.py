@@ -193,12 +193,12 @@ def count_via_jacobi_trudi(
     0 = e_0 < ... < e_k = largest plus a top block.  Grouping the chains by
     their last end, G[0] = {(): 1} and G[j] = -sum_{i<j} _place(G[i], e_j -
     e_i); the top block fills every column up to m in one way, so the count
-    is (-1)**k times the total weight of all the G[i].  When n*m <= largest
-    there is no ribbon and no word: the count is 0, as on every other route.
-    The budget's ``max_work`` caps the placements of the whole chain.
+    is (-1)**k times the total weight of all the G[i], so 1 for the empty set.
+    When n*m <= largest there is no ribbon and no word: the count is 0, as on
+    every other route.  ``max_work`` caps the placements of the whole chain.
     """
     require_positive(n=n, m=m)
-    if descents.largest >= n * m:
+    if descents and descents.largest >= n * m:
         return 0  # no successor position left for the final descent
     budget = budget or DEFAULT_BUDGET
     spent = 0

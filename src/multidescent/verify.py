@@ -11,12 +11,13 @@ from itertools import combinations
 from math import comb
 
 from . import formulas, oracle, polybasis, schur
-from .core import DescentSet
+from .core import DescentSet, strict_ints
 from .polybasis import Check, Report
 
 
 def descent_sets_up_to(top: int) -> list[DescentSet]:
     """Every non-empty descent set contained in {1, ..., top}."""
+    strict_ints((top,), "grid bounds")
     universe = range(1, top + 1)
     out: list[DescentSet] = []
     for size in range(1, top + 1):
@@ -33,6 +34,7 @@ def agreement_report(
     checked only where n*m > largest: the grid's check count (457 at the
     defaults) is a recorded benchmark reference, so the guard stays.
     """
+    strict_ints((n_max, m_max, cells_max), "grid bounds")
     checks = []
     for ds in descent_sets_up_to(top):
         for n in range(1, n_max + 1):
@@ -68,6 +70,7 @@ def agreement_report(
 def monotonicity_report(top: int = 4, extra_n: int = 3) -> Report:
     """For alphabets larger than the largest descent, the count never drops
     as the multiplicity grows."""
+    strict_ints((extra_n,), "grid bounds")
     checks = []
     for ds in descent_sets_up_to(top):
         for n in range(ds.largest + 1, ds.largest + extra_n + 1):
@@ -117,6 +120,7 @@ def stabilization_report(top: int = 5) -> Report:
 def stable_form_report(top: int = 5, span: int = 3) -> Report:
     """The stabilized closed form equals the stabilized enumeration and the
     sum of the last-value formula over last values 2..n."""
+    strict_ints((span,), "grid bounds")
     checks = []
     for ds in descent_sets_up_to(top):
         point = formulas.stabilization_point(ds)
@@ -141,6 +145,7 @@ def stable_form_report(top: int = 5, span: int = 3) -> Report:
 
 def last_fixed_report(top: int = 4, span: int = 3) -> Report:
     """The last-value formula matches brute force for every last value."""
+    strict_ints((span,), "grid bounds")
     checks = []
     for ds in descent_sets_up_to(top):
         for n in range(ds.largest, ds.largest + span + 1):
@@ -173,6 +178,7 @@ def prefix_signs_report(top: int = 6) -> Report:
 
 def sign_survey_report(top: int = 6, k_min: int = -3, k_max: int = 2) -> Report:
     """Coefficient sign pattern across offsets for all sets within {1..top}."""
+    strict_ints((k_min, k_max), "grid bounds")
     checks = []
     for ds in descent_sets_up_to(top):
         checks.extend(polybasis.sign_survey(ds, k_min, k_max).checks)
@@ -182,6 +188,7 @@ def sign_survey_report(top: int = 6, k_min: int = -3, k_max: int = 2) -> Report:
 def single_descent_report(a_max: int = 6, n_max: int = 10) -> Report:
     """For one descent at position a the stabilized count is
     binom(n + a - 1, a) - 1, checked against the stdlib binomial."""
+    strict_ints((a_max, n_max), "grid bounds")
     checks = []
     for a in range(1, a_max + 1):
         ds = DescentSet((a,))
@@ -200,6 +207,7 @@ def polynomiality_report(top: int = 6, m_max: int = 4) -> Report:
     """At fixed multiplicity the count is a polynomial in the alphabet size
     of degree at most the largest descent: one more forward difference
     vanishes on n from largest to 2*largest + 2."""
+    strict_ints((m_max,), "grid bounds")
     checks = []
     for ds in descent_sets_up_to(top):
         d = ds.largest
@@ -220,6 +228,7 @@ def polynomiality_report(top: int = 6, m_max: int = 4) -> Report:
 def ribbon_report(top: int = 4, n_max: int = 4, m_max: int = 3) -> Report:
     """Structural laws of the ribbon construction on a small grid, plus one
     frozen larger example."""
+    strict_ints((n_max, m_max), "grid bounds")
     shape = schur.ribbon_shape(DescentSet((4, 8, 9)), 5, 3)
     checks = [
         Check(
@@ -254,6 +263,7 @@ def ribbon_report(top: int = 4, n_max: int = 4, m_max: int = 3) -> Report:
 def basis_roundtrip_report(top: int = 4, k_min: int = -3, k_max: int = 3) -> Report:
     """Shifting the coefficient base agrees with direct extraction at every
     offset and undoes itself exactly."""
+    strict_ints((k_min, k_max), "grid bounds")
     checks = []
     for ds in descent_sets_up_to(top):
         base = polybasis.extract_coeffs(ds, -1)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multidescent import cli
-from multidescent.core import BudgetExceededError, DescentSet, DomainError
+from multidescent import cli, verify
+from multidescent.core import BudgetExceededError, DescentSet
 from multidescent.formulas import stable_descent_count
 from multidescent.polybasis import extract_coeffs
 
@@ -69,13 +69,23 @@ def test_count_skips_inapplicable_routes_in_all_mode(capsys):
     assert captured.err == ""
     lines = captured.out.strip().splitlines()
     assert [line.split() for line in lines] == [[name, "0"] for name in cli.ROUTES]
-    # the empty set has no final descent for prefix and Jacobi-Trudi to anchor on
+    # every route counts the empty set's one sorted word
     code = run_cli("count", "--set", "", "--n", "3", "--m", "2")
     captured = capsys.readouterr()
     assert code == cli.EXIT_OK
-    assert captured.out.split() == ["naive", "1", "recurrence", "1"]
-    assert "prefix: skipped" in captured.err
-    assert "jacobi-trudi: skipped" in captured.err
+    assert captured.err == ""
+    assert [line.split() for line in captured.out.strip().splitlines()] == [
+        [name, "1"] for name in cli.ROUTES
+    ]
+    # only the budget leaves a route out: naive's 90 arrangements pass 89
+    code = run_cli("count", "--set", "2", "--n", "3", "--m", "2", "--budget", "89")
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK
+    assert captured.out.split() == [
+        "prefix", "5", "recurrence", "5", "jacobi-trudi", "5"
+    ]
+    assert captured.err.startswith("naive: skipped (")
+    assert captured.err.count("skipped") == 1
 
 
 def test_count_explicit_inapplicable_route_is_a_domain_error(capsys):
@@ -85,6 +95,10 @@ def test_count_explicit_inapplicable_route_is_a_domain_error(capsys):
     assert code == cli.EXIT_OK
     assert capsys.readouterr().out.split() == ["jacobi-trudi", "0"]
     code = run_cli("count", "--set", "", "--n", "3", "--m", "2", "--method", "prefix")
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().out.split() == ["prefix", "1"]
+    # an empty alphabet is outside every route's domain
+    code = run_cli("count", "--set", "2", "--n", "0", "--m", "1", "--method", "prefix")
     assert code == cli.EXIT_DOMAIN
     assert "domain error" in capsys.readouterr().err
 
@@ -105,22 +119,37 @@ def test_count_with_no_count_exits_with_the_refusal_code(capsys, fmt):
     assert "domain error" in captured.err
 
 
-def test_count_with_no_count_exits_with_the_first_refusal_code(capsys, monkeypatch):
-    def refuse(*args):
-        raise DomainError("refused")
-
-    for owner, name in [
-        (cli.oracle, "count_prefix"),
-        (cli.formulas, "descent_count"),
-        (cli.schur, "count_via_jacobi_trudi"),
-    ]:
-        monkeypatch.setattr(owner, name, refuse)
-    # naive runs first and refuses its 90 arrangements, so its code wins
-    code = run_cli("count", "--set", "2", "--n", "3", "--m", "2", "--budget", "89")
+def test_count_with_no_count_exits_with_the_first_refusal_code(capsys):
+    # every route passes one unit of work here, so all four are skipped
+    code = run_cli("count", "--set", "2", "--n", "3", "--m", "2", "--budget", "1")
     captured = capsys.readouterr()
     assert code == cli.EXIT_BUDGET
     assert captured.out == ""
     assert captured.err.count("skipped") == 4
+    assert captured.err.endswith("budget exceeded: full enumeration at n = 3, "
+                                 "m = 2, more than max_work = 1\n")
+
+
+def test_count_domain_error_stops_at_once(capsys):
+    # every route shares one domain, so a refusal there is not a skip note
+    code = run_cli("count", "--set", "1,2", "--n", "-3", "--m", "1")
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DOMAIN
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("domain error: ")
+    assert "skipped" not in captured.err
+
+
+@pytest.mark.parametrize("name", list(cli.ROUTES))
+def test_every_route_shares_one_domain(name):
+    route = cli.ROUTES[name]
+    for n in range(1, 5):
+        for m in range(1, 4):
+            assert route(DescentSet(), n, m, None) == 1  # the sorted word
+            for ds in verify.descent_sets_up_to(4):
+                if n * m <= ds.largest:  # no position follows the last descent
+                    assert route(ds, n, m, None) == 0, (ds, n, m)
 
 
 def test_count_budget_refusal_and_override(capsys):
@@ -404,6 +433,22 @@ def test_table_rows_sorted_by_n_then_m(capsys):
     payload = json.loads(capsys.readouterr().out)
     keys = [(row["n"], row["m"]) for row in payload["rows"]]
     assert keys == sorted(keys)
+
+
+def test_table_counts_a_wide_set_with_jacobi_trudi():
+    # the recurrence passed the default budget here after seconds (exit 4)
+    wide = ",".join(map(str, range(2, 25, 2)))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "multidescent",
+            "table", "--set", wide, "--n-range", "26:26", "--m-range", "2:2",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["n,m,count", "26,2,25419262800779100039282625585"]
 
 
 def test_table_rejects_backwards_range(capsys):

@@ -1,10 +1,12 @@
 """Descent sets, compositions, and block sums."""
 
+from inspect import signature
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multidescent import formulas, oracle, polybasis, schur
+from multidescent import formulas, oracle, polybasis, schur, verify
 from multidescent.core import (
     DescentSet,
     DomainError,
@@ -86,7 +88,6 @@ NEEDS_A_DESCENT = {
     "bounded_sequence_count": lambda: formulas.bounded_sequence_count(EMPTY, 3, 2),
     "last_fixed_formula": lambda: formulas.last_fixed_formula(EMPTY, 3, 2),
     "stable_descent_count": lambda: formulas.stable_descent_count(EMPTY, 3),
-    "count_prefix": lambda: oracle.count_prefix(EMPTY, 3, 2),
     "count_content": lambda: oracle.count_content((1,), EMPTY),
     "count_last_fixed": lambda: oracle.count_last_fixed(EMPTY, 3, 2),
     "count_coeff_witnesses": lambda: oracle.count_coeff_witnesses(EMPTY, 1),
@@ -94,7 +95,6 @@ NEEDS_A_DESCENT = {
     "count_onto_full": lambda: oracle.count_onto_full(EMPTY, 1),
     "extract_coeffs": lambda: polybasis.extract_coeffs(EMPTY, -1),
     "ribbon_shape": lambda: schur.ribbon_shape(EMPTY, 3, 2),
-    "count_via_jacobi_trudi": lambda: schur.count_via_jacobi_trudi(EMPTY, 3, 2),
 }
 
 
@@ -136,6 +136,30 @@ def test_int_arguments_are_never_coerced(name, bad):
         args[slot] = bad
         with pytest.raises(DomainError, match=f"must be integers, got {bad!r}"):
             function(first, *args)
+
+
+# (function, valid values of its int arguments by name); a generator is
+# drained so that its check runs, and every verify report takes only grid
+# bounds, all valid at 1
+TAKES_NAMED_INTS = {
+    "binom_poly": (formulas.binom_poly, dict(n=3, r=2)),
+    "compositions": (lambda total: list(compositions(total)), dict(total=3)),
+    **{
+        report.__name__: (report, dict.fromkeys(signature(report).parameters, 1))
+        for report, _ in verify._SUITE
+    },
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True], ids=repr)
+@pytest.mark.parametrize("name", TAKES_NAMED_INTS)
+def test_named_int_arguments_are_never_coerced(name, bad):
+    # binom_poly(3, 2.0) and sign_survey_report(top=2.5) once ended in a
+    # TypeError, and polynomiality_report(top=True) ran with 1
+    function, good = TAKES_NAMED_INTS[name]
+    for key in good:
+        with pytest.raises(DomainError, match=f"must be integers, got {bad!r}"):
+            function(**{**good, key: bad})
 
 
 BELOW_THE_FLOOR = {

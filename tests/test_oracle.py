@@ -99,9 +99,10 @@ def test_count_prefix_known_value():
     assert count_prefix(DescentSet((2,)), 3, 2) == 5
 
 
-def test_count_prefix_rejects_empty_set():
-    with pytest.raises(DomainError):
-        count_prefix(DescentSet(), 3, 2)
+def test_count_prefix_counts_the_sorted_word_for_the_empty_set():
+    # no prefix to walk: the whole word is its sorted tail
+    assert count_prefix(DescentSet(), 3, 2) == 1
+    assert count_prefix(DescentSet(), 1, 1) == 1
 
 
 def test_count_prefix_zero_when_no_tail_position():
