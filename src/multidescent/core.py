@@ -138,7 +138,9 @@ def compositions(total: int) -> Iterator[tuple[int, ...]]:
 
     Output is lazy and lexicographic: for total 3 the order is (1,1,1),
     (1,2), (2,1), (3).  There are 2**(total-1) of them; a total below 1
-    yields nothing; a non-``int`` total is refused.
+    yields nothing; a non-``int`` total is refused.  No counting route uses
+    it: only ``formulas.signed_coarsenings`` (so demo 04), the tests and the
+    bench's ``core.compositions`` rows do.
     """
     strict_ints((total,), "total")
     if total < 1:
@@ -159,7 +161,9 @@ def block_sums(weights: Sequence[int], parts: Sequence[int]) -> tuple[int, ...]:
     """Collapse ``weights`` into consecutive blocks of sizes ``parts``.
 
     The block sizes must be positive and sum to ``len(weights)``; the result
-    has one entry per block and preserves the total.
+    has one entry per block and preserves the total.  No counting route uses
+    it: only ``formulas.signed_coarsenings`` (so demo 04), the tests and the
+    bench's ``core.block_sums`` rows do.
     """
     strict_ints(parts, "block sizes", 1)
     if sum(parts) != len(weights):

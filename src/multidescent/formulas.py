@@ -151,7 +151,10 @@ def signed_coarsenings(weights: Sequence[int]) -> Iterator[tuple[int, tuple[int,
     """Yield ``(sign, sums)`` for each way of merging runs of adjacent weights.
 
     ``sign`` is -1 to the number of merges, len(weights) - len(sums); there
-    are 2**(len(weights)-1) coarsenings, the finest first.
+    are 2**(len(weights)-1) coarsenings, the finest first.  No counting route
+    uses it (the closed forms sum the same coarsenings by a prefix
+    recurrence): only ``schur.jacobi_trudi_terms`` (so demo 04) and the
+    tests do.
     """
     k = len(weights)
     for parts in compositions(k):

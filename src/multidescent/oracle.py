@@ -189,7 +189,8 @@ def count_content(parts: Sequence[int], descents: DescentSet) -> int:
     Value j (1-based) must appear exactly ``parts[j-1]`` times, and the strict
     drops must sit exactly at the descent set without its largest element.
     Only the relative order of values matters, so this count is the same for
-    any alphabet of ``len(parts)`` values.
+    any alphabet of ``len(parts)`` values.  No counting route or report uses
+    it: only the tests and the bench's ``oracle.count_content`` rows do.
     """
     parts = strict_ints(parts, "content parts", 1)
     if sum(parts) != descents.largest:

@@ -4,18 +4,18 @@ A vector (c_0, ..., c_d) at offset k represents the polynomial
 sum_i c_i * binom(n + k, i).  The stabilized count has integer coefficients
 at every offset; the offset -1 base is the one whose coefficients directly
 count witness words, and from offset 0 upward a negative coefficient always
-appears.  Checks return structured reports instead of raising, so callers
-can render or aggregate them.
+appears.  This module extracts and shifts the coefficients; the laws they
+obey are checked by the window, prefix-sign and sign-survey reports of
+``verify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
-from .core import ConsistencyError, DescentSet, DomainError, strict_ints
+from .core import ConsistencyError, DescentSet, strict_ints
 from .formulas import binom_poly, stable_descent_count
-from .oracle import count_coeff_witnesses
+from .oracle import count_coeff_witnesses  # noqa: F401  perfbench/spans.py traces this binding
 
 
 @dataclass(frozen=True)
@@ -54,35 +54,6 @@ class BinomialBasisPoly:
         return sum(
             c * binom_poly(n + self.offset, i) for i, c in enumerate(self.coeffs)
         )
-
-
-@dataclass(frozen=True)
-class Check:
-    """One verified claim with its expected and observed values."""
-
-    claim: str
-    expected: Any
-    actual: Any
-
-    @property
-    def passed(self) -> bool:
-        return self.expected == self.actual
-
-
-@dataclass(frozen=True)
-class Report:
-    """A named bundle of checks; passes when every check does."""
-
-    name: str
-    checks: tuple[Check, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    @property
-    def failures(self) -> tuple[Check, ...]:
-        return tuple(check for check in self.checks if not check.passed)
 
 
 def extract_coeffs(descents: DescentSet, offset: int) -> BinomialBasisPoly:
@@ -131,112 +102,3 @@ def shift_basis(poly: BinomialBasisPoly, new_offset: int) -> BinomialBasisPoly:
     steps = [binom_poly(poly.offset - new_offset, d) for d in range(len(old))]
     coeffs = [sum(c * b for c, b in zip(old[j:], steps)) for j in range(len(old))]
     return BinomialBasisPoly(new_offset, tuple(coeffs))
-
-
-def check_window(descents: DescentSet) -> Report:
-    """Window law for the offset -1 coefficients.
-
-    They vanish strictly below the longest run and cannot extend past the
-    largest element, are positive inside that window, and each one equals
-    the brute-force witness count.
-    """
-    poly = extract_coeffs(descents, -1)
-    low = descents.longest_run
-    high = descents.largest
-    label = str(descents)
-    checks = [Check(f"{label}: degree equals the largest element", high, poly.degree)]
-    for i in range(high + 1):
-        value = poly.coefficient(i)
-        if low <= i <= high:
-            checks.append(
-                Check(
-                    f"{label}: coefficient {i} inside window [{low},{high}] is positive",
-                    True,
-                    value >= 1,
-                )
-            )
-        else:
-            checks.append(
-                Check(
-                    f"{label}: coefficient {i} outside window [{low},{high}] is zero",
-                    0,
-                    value,
-                )
-            )
-        checks.append(
-            Check(
-                f"{label}: coefficient {i} equals the witness count",
-                count_coeff_witnesses(descents, i),
-                value,
-            )
-        )
-    return Report(f"coefficient window for {label}", tuple(checks))
-
-
-def check_prefix_signs(descents: DescentSet) -> Report:
-    """Alternating prefix law for the offset 0 coefficients.
-
-    Coefficient i equals (-1)**(i + size) for every i up to the longest run,
-    and each offset-0 coefficient is the alternating tail sum of the
-    offset -1 ones.
-    """
-    base = extract_coeffs(descents, -1)
-    shifted = extract_coeffs(descents, 0)
-    t = len(descents)
-    label = str(descents)
-    checks = []
-    for i in range(descents.longest_run + 1):
-        want = -1 if (i + t) % 2 else 1
-        checks.append(
-            Check(
-                f"{label}: offset-0 coefficient {i} equals {want}",
-                want,
-                shifted.coefficient(i),
-            )
-        )
-    for k in range(descents.largest + 1):
-        tail = sum(
-            (-1) ** (i - k) * base.coefficient(i)
-            for i in range(k, descents.largest + 1)
-        )
-        checks.append(
-            Check(
-                f"{label}: offset-0 coefficient {k} is the alternating tail "
-                f"of the offset -1 coefficients",
-                tail,
-                shifted.coefficient(k),
-            )
-        )
-    return Report(f"alternating prefix for {label}", tuple(checks))
-
-
-def sign_survey(descents: DescentSet, k_min: int, k_max: int) -> Report:
-    """Sign pattern across offsets: all coefficients nonnegative at offsets
-    at or below -1, at least one negative at offsets at or above 0."""
-    strict_ints((k_min, k_max), "offsets")
-    if k_min > k_max:
-        raise DomainError(f"empty offset range [{k_min},{k_max}]")
-    base = extract_coeffs(descents, -1)
-    label = str(descents)
-    checks = []
-    for k in range(k_min, k_max + 1):
-        coeffs = shift_basis(base, k).coeffs
-        if k <= -1:
-            checks.append(
-                Check(
-                    f"{label}: offset {k} coefficients {list(coeffs)} are all nonnegative",
-                    True,
-                    all(c >= 0 for c in coeffs),
-                )
-            )
-        else:
-            checks.append(
-                Check(
-                    f"{label}: offset {k} coefficients {list(coeffs)} include a negative",
-                    True,
-                    any(c < 0 for c in coeffs),
-                )
-            )
-    return Report(
-        f"sign survey for {label} over offsets [{k_min},{k_max}]", tuple(checks)
-    )

@@ -109,7 +109,12 @@ def ribbon_shape(descents: DescentSet, n: int, m: int) -> RibbonShape:
 def jacobi_trudi_terms(shape: RibbonShape) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Expand det[h(outer_i - inner_j - i + j)] into ``(sign, degrees)`` terms:
     for a ribbon these are the signed coarsenings of the row lengths, top to
-    bottom (Stanley, EC2 7.23), so every degree is positive."""
+    bottom (Stanley, EC2 7.23), so every degree is positive.
+
+    No counting route uses it (the determinant route runs one chain over
+    the prefix ends instead): only demo 04, the tests and the bench's
+    ``schur.jacobi_trudi_terms`` rows do.
+    """
     yield from signed_coarsenings(shape.row_lengths)
 
 
@@ -121,7 +126,9 @@ def rect_coeff(h_degrees: Sequence[int], n: int, m: int) -> int:
     whose n columns each sum to m: zero unless the degrees, nonnegative
     ``int`` values (nothing is coerced), sum to n*m.  The rows are placed
     largest last, which fills what every column lacks in exactly one way;
-    the placements are charged to the default budget's ``max_work``.
+    the placements are charged to the default budget's ``max_work``.  No
+    counting route uses it: only demo 04, the tests and the bench's
+    ``schur.rect_coeff`` rows do.
     """
     require_positive(n=n, m=m)
     degrees = strict_ints(h_degrees, "degrees", 0)

@@ -1,23 +1,54 @@
-"""Whole-library verification: every cross-route identity on capped grids.
+"""Whole-library verification: the cross-route identities and the
+coefficient laws, each a report of checks over an exhaustive capped grid.
 
-Each function builds a structured report over an exhaustive grid whose caps
-default to the library's acceptance envelope; ``full_suite(quick=True)``
-shrinks the grids for a fast smoke pass.  All comparisons are exact.
+Reports record failed checks instead of raising, and refuse a grid bound
+that would leave them no checks.  ``full_suite(quick=True)`` shrinks the
+grids for a fast smoke pass.  All comparisons are exact.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Any
 
 from . import formulas, oracle, polybasis, schur
-from .core import DescentSet, strict_ints
-from .polybasis import Check, Report
+from .core import DescentSet, DomainError, strict_ints
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verified claim with its expected and observed values."""
+
+    claim: str
+    expected: Any
+    actual: Any
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.actual
+
+
+@dataclass(frozen=True)
+class Report:
+    """A named bundle of checks; passes when every check does."""
+
+    name: str
+    checks: tuple[Check, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(check.passed for check in self.checks)
+
+    @property
+    def failures(self) -> tuple[Check, ...]:
+        return tuple(check for check in self.checks if not check.passed)
 
 
 def descent_sets_up_to(top: int) -> list[DescentSet]:
-    """Every non-empty descent set contained in {1, ..., top}."""
-    strict_ints((top,), "grid bounds")
+    """Every non-empty descent set contained in {1, ..., top}, top >= 1."""
+    strict_ints((top,), "grid bounds", 1)
     universe = range(1, top + 1)
     out: list[DescentSet] = []
     for size in range(1, top + 1):
@@ -34,7 +65,7 @@ def agreement_report(
     checked only where n*m > largest: the grid's check count (457 at the
     defaults) is a recorded benchmark reference, so the guard stays.
     """
-    strict_ints((n_max, m_max, cells_max), "grid bounds")
+    strict_ints((n_max, m_max, cells_max), "grid bounds", 1)
     checks = []
     for ds in descent_sets_up_to(top):
         for n in range(1, n_max + 1):
@@ -70,7 +101,7 @@ def agreement_report(
 def monotonicity_report(top: int = 4, extra_n: int = 3) -> Report:
     """For alphabets larger than the largest descent, the count never drops
     as the multiplicity grows."""
-    strict_ints((extra_n,), "grid bounds")
+    strict_ints((extra_n,), "grid bounds", 1)
     checks = []
     for ds in descent_sets_up_to(top):
         for n in range(ds.largest + 1, ds.largest + extra_n + 1):
@@ -120,7 +151,7 @@ def stabilization_report(top: int = 5) -> Report:
 def stable_form_report(top: int = 5, span: int = 3) -> Report:
     """The stabilized closed form equals the stabilized enumeration and the
     sum of the last-value formula over last values 2..n."""
-    strict_ints((span,), "grid bounds")
+    strict_ints((span,), "grid bounds", 0)
     checks = []
     for ds in descent_sets_up_to(top):
         point = formulas.stabilization_point(ds)
@@ -145,7 +176,7 @@ def stable_form_report(top: int = 5, span: int = 3) -> Report:
 
 def last_fixed_report(top: int = 4, span: int = 3) -> Report:
     """The last-value formula matches brute force for every last value."""
-    strict_ints((span,), "grid bounds")
+    strict_ints((span,), "grid bounds", 0)
     checks = []
     for ds in descent_sets_up_to(top):
         for n in range(ds.largest, ds.largest + span + 1):
@@ -161,34 +192,105 @@ def last_fixed_report(top: int = 4, span: int = 3) -> Report:
 
 
 def window_report(top: int = 6) -> Report:
-    """Offset -1 coefficient window law over all sets within {1..top}."""
+    """Window law for the offset -1 coefficients of all sets within {1..top}.
+
+    They vanish strictly below the longest run and cannot extend past the
+    largest element, are positive inside that window, and each one equals
+    the brute-force witness count.
+    """
     checks = []
     for ds in descent_sets_up_to(top):
-        checks.extend(polybasis.check_window(ds).checks)
+        poly = polybasis.extract_coeffs(ds, -1)
+        low, high = ds.longest_run, ds.largest
+        window = f"window [{low},{high}]"
+        checks.append(
+            Check(f"{ds}: degree equals the largest element", high, poly.degree)
+        )
+        for i in range(high + 1):
+            value = poly.coefficient(i)
+            if i >= low:
+                law, expected, actual = f"inside {window} is positive", True, value >= 1
+            else:
+                law, expected, actual = f"outside {window} is zero", 0, value
+            checks.append(Check(f"{ds}: coefficient {i} {law}", expected, actual))
+            checks.append(
+                Check(
+                    f"{ds}: coefficient {i} equals the witness count",
+                    oracle.count_coeff_witnesses(ds, i),
+                    value,
+                )
+            )
     return Report("coefficient windows", tuple(checks))
 
 
 def prefix_signs_report(top: int = 6) -> Report:
-    """Offset 0 alternating prefix law over all sets within {1..top}."""
+    """Alternating prefix law for the offset 0 coefficients of all sets within
+    {1..top}.
+
+    Coefficient i equals (-1)**(i + size) for every i up to the longest run,
+    and each offset-0 coefficient is the alternating tail sum of the
+    offset -1 ones.
+    """
     checks = []
     for ds in descent_sets_up_to(top):
-        checks.extend(polybasis.check_prefix_signs(ds).checks)
+        base = polybasis.extract_coeffs(ds, -1)
+        shifted = polybasis.extract_coeffs(ds, 0)
+        for i in range(ds.longest_run + 1):
+            want = -1 if (i + len(ds)) % 2 else 1
+            checks.append(
+                Check(
+                    f"{ds}: offset-0 coefficient {i} equals {want}",
+                    want,
+                    shifted.coefficient(i),
+                )
+            )
+        for k in range(ds.largest + 1):
+            tail = sum(
+                (-1) ** (i - k) * base.coefficient(i)
+                for i in range(k, ds.largest + 1)
+            )
+            checks.append(
+                Check(
+                    f"{ds}: offset-0 coefficient {k} is the alternating tail "
+                    f"of the offset -1 coefficients",
+                    tail,
+                    shifted.coefficient(k),
+                )
+            )
     return Report("alternating prefixes", tuple(checks))
 
 
-def sign_survey_report(top: int = 6, k_min: int = -3, k_max: int = 2) -> Report:
-    """Coefficient sign pattern across offsets for all sets within {1..top}."""
+def _offsets(k_min: int, k_max: int) -> range:
+    """The offsets k_min..k_max; an empty range is refused."""
     strict_ints((k_min, k_max), "grid bounds")
+    if k_min > k_max:
+        raise DomainError(f"empty offset range [{k_min},{k_max}]")
+    return range(k_min, k_max + 1)
+
+
+def sign_survey_report(top: int = 6, k_min: int = -3, k_max: int = 2) -> Report:
+    """Coefficient sign pattern across offsets for all sets within {1..top}:
+    all coefficients nonnegative at offsets at or below -1, at least one
+    negative at offsets at or above 0."""
+    offsets = _offsets(k_min, k_max)
     checks = []
     for ds in descent_sets_up_to(top):
-        checks.extend(polybasis.sign_survey(ds, k_min, k_max).checks)
+        base = polybasis.extract_coeffs(ds, -1)
+        for k in offsets:
+            coeffs = list(polybasis.shift_basis(base, k).coeffs)
+            if k <= -1:
+                law, holds = "are all nonnegative", all(c >= 0 for c in coeffs)
+            else:
+                law, holds = "include a negative", any(c < 0 for c in coeffs)
+            claim = f"{ds}: offset {k} coefficients {coeffs} {law}"
+            checks.append(Check(claim, True, holds))
     return Report("coefficient sign survey", tuple(checks))
 
 
 def single_descent_report(a_max: int = 6, n_max: int = 10) -> Report:
     """For one descent at position a the stabilized count is
     binom(n + a - 1, a) - 1, checked against the stdlib binomial."""
-    strict_ints((a_max, n_max), "grid bounds")
+    strict_ints((a_max, n_max), "grid bounds", 1)
     checks = []
     for a in range(1, a_max + 1):
         ds = DescentSet((a,))
@@ -207,7 +309,7 @@ def polynomiality_report(top: int = 6, m_max: int = 4) -> Report:
     """At fixed multiplicity the count is a polynomial in the alphabet size
     of degree at most the largest descent: one more forward difference
     vanishes on n from largest to 2*largest + 2."""
-    strict_ints((m_max,), "grid bounds")
+    strict_ints((m_max,), "grid bounds", 1)
     checks = []
     for ds in descent_sets_up_to(top):
         d = ds.largest
@@ -228,7 +330,7 @@ def polynomiality_report(top: int = 6, m_max: int = 4) -> Report:
 def ribbon_report(top: int = 4, n_max: int = 4, m_max: int = 3) -> Report:
     """Structural laws of the ribbon construction on a small grid, plus one
     frozen larger example."""
-    strict_ints((n_max, m_max), "grid bounds")
+    strict_ints((n_max, m_max), "grid bounds", 1)
     shape = schur.ribbon_shape(DescentSet((4, 8, 9)), 5, 3)
     checks = [
         Check(
@@ -263,11 +365,11 @@ def ribbon_report(top: int = 4, n_max: int = 4, m_max: int = 3) -> Report:
 def basis_roundtrip_report(top: int = 4, k_min: int = -3, k_max: int = 3) -> Report:
     """Shifting the coefficient base agrees with direct extraction at every
     offset and undoes itself exactly."""
-    strict_ints((k_min, k_max), "grid bounds")
+    offsets = _offsets(k_min, k_max)
     checks = []
     for ds in descent_sets_up_to(top):
         base = polybasis.extract_coeffs(ds, -1)
-        for k in range(k_min, k_max + 1):
+        for k in offsets:
             shifted = polybasis.shift_basis(base, k)
             checks.append(
                 Check(

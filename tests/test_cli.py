@@ -478,7 +478,7 @@ def test_verify_quick_passes(capsys):
 
 
 def test_verify_failure_exits_three(capsys, monkeypatch):
-    from multidescent.polybasis import Check, Report
+    from multidescent.verify import Check, Report
 
     broken = Report("rigged", (Check("always wrong", 0, 1),))
     monkeypatch.setattr(cli.verify, "full_suite", lambda quick: [broken])

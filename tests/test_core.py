@@ -122,7 +122,6 @@ TAKES_INTS = {
     "shift_basis": (polybasis.shift_basis, POLY, 0),
     "coefficient": (polybasis.BinomialBasisPoly.coefficient, POLY, 1),
     "evaluate": (polybasis.BinomialBasisPoly.evaluate, POLY, 3),
-    "sign_survey": (polybasis.sign_survey, TWO, -1, 0),
 }
 
 

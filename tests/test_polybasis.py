@@ -7,16 +7,7 @@ import pytest
 from multidescent.core import DescentSet, DomainError
 from multidescent.formulas import stable_descent_count
 from multidescent.oracle import count_coeff_witnesses
-from multidescent.polybasis import (
-    BinomialBasisPoly,
-    Check,
-    Report,
-    check_prefix_signs,
-    check_window,
-    extract_coeffs,
-    shift_basis,
-    sign_survey,
-)
+from multidescent.polybasis import BinomialBasisPoly, extract_coeffs, shift_basis
 
 
 def _sets_within(top):
@@ -136,23 +127,6 @@ def test_shift_preserves_evaluation():
             assert shifted.evaluate(n) == base.evaluate(n)
 
 
-def test_check_window_passes_and_is_structured():
-    report = check_window(DescentSet((2, 4)))
-    assert isinstance(report, Report)
-    assert report.passed
-    assert report.failures == ()
-    assert all(isinstance(c, Check) for c in report.checks)
-    # one degree check, plus a window claim and a witness claim per index
-    assert len(report.checks) == 1 + 2 * 5
-
-
-def test_check_window_single_element_set():
-    report = check_window(DescentSet((1,)))
-    assert report.passed
-    poly = extract_coeffs(DescentSet((1,)), -1)
-    assert poly.coeffs == (0, 1)
-
-
 def test_window_positivity_and_support():
     for ds in _sets_within(5):
         poly = extract_coeffs(ds, -1)
@@ -165,31 +139,7 @@ def test_window_positivity_and_support():
                 assert value == 0, (ds, i)
 
 
-def test_check_prefix_signs_passes():
-    for ds in (DescentSet((2,)), DescentSet((1, 2)), DescentSet((2, 4))):
-        report = check_prefix_signs(ds)
-        assert report.passed, report.failures
-
-
 def test_prefix_sign_values_two_element_run():
     # size-2 set: signs start positive and alternate through the run
     poly = extract_coeffs(DescentSet((1, 2)), 0)
     assert poly.coeffs == (1, -1, 1)
-
-
-def test_sign_survey_passes_across_offsets():
-    for ds in _sets_within(4):
-        report = sign_survey(ds, -3, 2)
-        assert report.passed, (ds, report.failures)
-        assert len(report.checks) == 6
-
-
-def test_sign_survey_rejects_an_empty_range():
-    with pytest.raises(DomainError):
-        sign_survey(DescentSet((2,)), 1, 0)
-
-
-def test_failing_check_is_reported_not_raised():
-    report = Report("demo", (Check("always wrong", 1, 2),))
-    assert not report.passed
-    assert report.failures[0].claim == "always wrong"

@@ -1,7 +1,15 @@
-"""The verification suite itself: structure and a fast smoke pass."""
+"""The verification suite itself: structure, the coefficient laws, refusals
+of empty grids and a fast smoke pass."""
 
-from multidescent import verify
-from multidescent.core import DescentSet
+import pytest
+
+from multidescent import polybasis, verify
+from multidescent.core import DescentSet, DomainError
+from multidescent.verify import Check, Report
+
+
+def _checks_of(report, ds):
+    return [c for c in report.checks if c.claim.startswith(f"{ds}:")]
 
 
 def test_descent_sets_up_to_enumerates_the_power_set():
@@ -35,3 +43,85 @@ def test_single_descent_report_small_grid():
     report = verify.single_descent_report(a_max=3, n_max=5)
     assert len(report.checks) == 15
     assert report.passed
+
+
+def test_window_report_passes_and_is_structured():
+    report = verify.window_report(top=4)
+    assert isinstance(report, Report)
+    assert report.passed
+    assert report.failures == ()
+    assert all(isinstance(c, Check) for c in report.checks)
+    # per set, one degree check plus a window claim and a witness claim per index
+    for ds in verify.descent_sets_up_to(4):
+        assert len(_checks_of(report, ds)) == 1 + 2 * (ds.largest + 1), ds
+    assert len(_checks_of(report, DescentSet((2, 4)))) == 1 + 2 * 5
+
+
+def test_window_report_single_element_set():
+    report = verify.window_report(top=1)
+    assert report.passed
+    assert len(report.checks) == 1 + 2 * 2
+    assert polybasis.extract_coeffs(DescentSet((1,)), -1).coeffs == (0, 1)
+
+
+def test_window_report_flags_a_zero_inside_the_window(monkeypatch):
+    # {2} has window [1,2]; zeroing coefficient 1 must fail its positivity
+    # claim, not only the witness claim
+    real = polybasis.extract_coeffs
+
+    def rigged(ds, offset):
+        coeffs = list(real(ds, offset).coeffs)
+        coeffs[ds.longest_run] = 0
+        return polybasis.BinomialBasisPoly(offset, tuple(coeffs))
+
+    monkeypatch.setattr(polybasis, "extract_coeffs", rigged)
+    failed = [c.claim for c in verify.window_report(top=2).failures]
+    assert "{2}: coefficient 1 inside window [1,2] is positive" in failed
+
+
+def test_prefix_signs_report_passes():
+    report = verify.prefix_signs_report(top=4)
+    assert report.passed, report.failures
+    for ds in (DescentSet((2,)), DescentSet((1, 2)), DescentSet((2, 4))):
+        # the run prefix, then one tail claim per index
+        assert len(_checks_of(report, ds)) == ds.longest_run + ds.largest + 2
+
+
+def test_sign_survey_report_passes_across_offsets():
+    report = verify.sign_survey_report(top=4, k_min=-3, k_max=2)
+    assert report.passed, report.failures
+    for ds in verify.descent_sets_up_to(4):
+        assert len(_checks_of(report, ds)) == 6, ds
+
+
+def test_sign_survey_report_rejects_an_empty_range():
+    with pytest.raises(DomainError, match=r"empty offset range \[1,0\]"):
+        verify.sign_survey_report(top=2, k_min=1, k_max=0)
+
+
+def test_failing_check_is_reported_not_raised():
+    report = Report("demo", (Check("always wrong", 1, 2),))
+    assert not report.passed
+    assert report.failures[0].claim == "always wrong"
+
+
+# Each of these grids once left its report with no checks, and the report
+# passed on nothing.
+EMPTY_GRIDS = {
+    "agreement top=0": lambda: verify.agreement_report(top=0),
+    "agreement cells_max=0": lambda: verify.agreement_report(cells_max=0),
+    "single_descent a_max=0": lambda: verify.single_descent_report(a_max=0),
+    "monotonicity extra_n=0": lambda: verify.monotonicity_report(extra_n=0),
+    "stable_form span=-1": lambda: verify.stable_form_report(span=-1),
+    "last_fixed span=-5": lambda: verify.last_fixed_report(span=-5),
+    "window top=0": lambda: verify.window_report(top=0),
+    "basis_roundtrip k_min>k_max": lambda: verify.basis_roundtrip_report(
+        k_min=2, k_max=1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_GRIDS)
+def test_a_grid_with_no_checks_is_refused(name):
+    with pytest.raises(DomainError):
+        EMPTY_GRIDS[name]()
