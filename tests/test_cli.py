@@ -332,6 +332,26 @@ def test_count_recurrence_reaches_a_descent_at_1100():
     assert proc.stdout.split() == ["recurrence", str(comb(1200, 1100) - 1)]
 
 
+def test_count_prefix_ends_within_its_budget_at_a_descent_at_1100():
+    # a scan past the used-up values once followed every word uncharged:
+    # the default budget's walk then ran for minutes
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "multidescent",
+            "count", "--set", "1100", "--n", "1200", "--m", "1",
+            "--method", "prefix",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    if proc.returncode == cli.EXIT_OK:
+        assert proc.stdout.split() == ["prefix", str(comb(1200, 1100) - 1)]
+    else:
+        assert proc.returncode == cli.EXIT_BUDGET, proc.stderr
+        assert "more than max_work = 10000000" in proc.stderr
+
+
 def test_count_jacobi_trudi_answers_a_huge_alphabet():
     # walking the n columns would not end; the timeout turns that into a failure
     proc = subprocess.run(

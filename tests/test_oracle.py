@@ -5,8 +5,11 @@ enumerations in this file, never from the functions under test.
 """
 
 from itertools import permutations, product
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multidescent.core import BudgetExceededError, DescentSet, DomainError, descent_set
 from multidescent.formulas import stabilization_point
@@ -20,6 +23,7 @@ from multidescent.oracle import (
     count_onto_full,
     count_onto_upper,
     count_prefix,
+    descent_histogram,
 )
 
 
@@ -67,6 +71,40 @@ def test_count_naive_budget_refusal_names_the_bound():
         count_naive(DescentSet((2,)), 12, 1)
     with pytest.raises(BudgetExceededError, match="max_work = 10000000"):
         count_naive(DescentSet((5,)), 1, 10**11)
+
+
+def test_descent_histogram_tallies_every_arrangement_once():
+    for n in range(1, 11):
+        for m in range(1, 10 // n + 1):
+            histogram = descent_histogram(n, m)
+            assert sum(histogram.values()) == factorial(n * m) // factorial(m) ** n
+            assert histogram[DescentSet()] == 1  # the sorted word
+            # count_prefix needs 11 s for the 512 sets of n = 10, m = 1
+            route = count_via_jacobi_trudi if n == 10 else count_prefix
+            for ds, count in histogram.items():
+                assert count == route(ds, n, m), (ds, n, m)
+
+
+def test_descent_histogram_refuses_like_count_naive():
+    with pytest.raises(BudgetExceededError, match="max_work = 89"):
+        descent_histogram(3, 2, EnumerationBudget(89))
+    assert descent_histogram(3, 2, EnumerationBudget(90))[DescentSet((2,))] == 5
+    with pytest.raises(BudgetExceededError, match="n = 12, m = 1, more than"):
+        descent_histogram(12, 1)
+    with pytest.raises(DomainError):
+        descent_histogram(0, 2)
+
+
+@given(
+    st.sets(st.integers(1, 10), max_size=5),
+    st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 10 // n))),
+)
+@settings(max_examples=40, deadline=None)
+def test_count_naive_agrees_with_count_prefix(elements, size):
+    # n = 10, m = 1 is left out: one enumeration of 10! words takes 3 s
+    ds = DescentSet(elements)
+    n, m = size
+    assert count_naive(ds, n, m) == count_prefix(ds, n, m)
 
 
 @pytest.mark.parametrize(
@@ -120,6 +158,13 @@ def test_count_prefix_budget_cap():
     tiny = EnumerationBudget(max_work=3)
     with pytest.raises(BudgetExceededError, match="max_work = 3"):
         count_prefix(DescentSet((2, 4)), 4, 2, budget=tiny)
+
+
+def test_count_prefix_charges_the_last_position():
+    # a one-position prefix: the walk's only work is the five last values
+    with pytest.raises(BudgetExceededError, match="max_work = 4"):
+        count_prefix(DescentSet((1,)), 5, 1, EnumerationBudget(4))
+    assert count_prefix(DescentSet((1,)), 5, 1, EnumerationBudget(5)) == 4
 
 
 def _sets_within(top):

@@ -1,6 +1,8 @@
 """The verification suite itself: structure, the coefficient laws, refusals
 of empty grids and a fast smoke pass."""
 
+import hashlib
+
 import pytest
 
 from multidescent import polybasis, verify
@@ -36,6 +38,24 @@ def test_agreement_report_covers_all_three_or_four_routes():
     assert "prefix route" in claims
     assert "recurrence route" in claims
     assert "determinant route" in claims
+    assert report.passed
+
+
+def test_agreement_report_checks_the_bench_grid_in_its_recorded_order():
+    # sha256 of the (claim, expected, actual) triples as counted with one
+    # full enumeration per descent set
+    report = verify.agreement_report(top=4, n_max=4, m_max=3, cells_max=12)
+    triples = [(c.claim, c.expected, c.actual) for c in report.checks]
+    assert len(triples) == 457
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == (
+        "405a36844fd6b9b1175f502c51f0142b04adf1d4f24b0fb1efd45a3ef767503b"
+    )
+    assert report.passed
+
+
+def test_agreement_report_default_grid_is_wider_than_the_bench_grid():
+    report = verify.agreement_report()
+    assert len(report.checks) == 2115
     assert report.passed
 
 
