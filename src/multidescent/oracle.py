@@ -5,17 +5,21 @@ obviously correct.  :func:`descent_histogram` visits every word of one
 (n, m) once and tallies its descent set; :func:`count_naive` reads one set
 off it.  Every other counter is a short filter over one walker,
 ``_pattern_walk``, which lists words with a prescribed drop pattern and
-per-value caps on an explicit stack, without memoization, and stops one
-position short: ``count_prefix`` counts each last position's range at once,
-and ``_pattern_words`` lists its words one by one for the rest.  The
-formula modules must match these on overlapping domains; tests and the
-verify suite enforce that.
+per-value caps on an explicit stack, without memoization, and stops two
+positions short.  It hands over the range of the second-to-last position
+with a bit mask of the values at their caps, and its caller places that
+value in a loop of its own: ``count_prefix`` then counts each last range
+at once with a bit count of the mask, and ``_pattern_words`` lists the
+last values one by one for the rest.  Walker and caller charge one
+budget in one unit: 1 per value placed before the last position, and the
+size of each last range.  The formula modules must match these on
+overlapping domains; tests and the verify suite enforce that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Generator, Iterator, Sequence
 
 from .core import (
     BudgetExceededError,
@@ -46,6 +50,7 @@ class EnumerationBudget:
 
 
 DEFAULT_BUDGET = EnumerationBudget()
+_WALK_WORK = "values placed by a word walk"  # what a walk's refusal names
 
 
 def descent_histogram(
@@ -113,24 +118,26 @@ def _pattern_walk(
     descents: DescentSet,
     caps: Sequence[int],
     budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> Iterator[tuple[int, int, int, list[int]]]:
-    """Walk the words of length ``largest`` over 1..len(caps) that use each
-    value v at most ``caps[v-1]`` times and drop strictly exactly at the
-    descent set without its largest element.  Yield ``(lo, hi, least,
-    usage)`` once per word without its last value.
+) -> Generator[tuple[int, int, int, list[int]], int, None]:
+    """Walk the words of length ``largest`` >= 2 over 1..len(caps) that use
+    each value v at most ``caps[v-1]`` times and drop strictly exactly at
+    the descent set without its largest element, two positions short.
+    Yield ``(lo, hi, capped, usage)`` once per word without its last two
+    values.
 
-    The last value is any v in range(lo, hi) below its cap.  ``least`` is
-    the smallest value the first ``largest - 1`` positions leave below its
-    cap (len(caps) + 1 if none); it is kept per position and moves only
-    when the value it names reaches its cap, and then only forward, past
-    values at their caps.  ``usage[v]`` is how often v occurs in those
-    positions (``usage[0]`` stays 0).  The list is live: read it before
-    asking for the next yield.  The walk is a depth-first search on an
-    explicit stack, the value and the range of values still open at each
-    position, so memory is O(largest + len(caps)) and no length meets a
-    recursion limit.  Nothing is memoized or merged: every word without its
-    last value is reached on its own.  The walk charges each value it
-    places and each value of a last position's range; more than the
+    The second-to-last value is any v in range(lo, hi) below its cap; the
+    caller places it and each last value, and sends back the work that
+    took, in the budget's unit: 1 per second-to-last value placed plus the
+    size of each last range.  ``usage[v]`` is how often v occurs in the
+    first ``largest - 2`` positions (``usage[0]`` stays 0), and bit v of
+    ``capped`` is set when v is at its cap, so ``least``, the smallest
+    value below its cap, is its lowest clear bit above bit 0.  The list is
+    live: leave it as it was before sending.  The walk is a depth-first
+    search on an explicit stack, the value and the range of values still
+    open at each position, so memory is O(largest + len(caps)) and no
+    length meets a recursion limit.  Nothing is memoized or merged: every
+    word without its last two values is reached on its own.  The walk
+    charges each value it places and the work sent back; more than the
     budget's ``max_work`` raises.
     """
     length = descents.largest
@@ -140,25 +147,26 @@ def _pattern_walk(
     cap = (0, *caps)
     top = len(cap)
     usage = [0] * top
-    word = [0] * length  # word[p]: the value at position p, 0 before the first
-    lo = [1] * (length + 1)  # position p takes values in range(lo[p], hi[p])
-    hi = [top] * (length + 1)
-    least = [top] * (length + 1)  # least[p]: ``least`` of the first p - 1 values
-    least[1] = next((v for v in range(1, top) if cap[v]), top)
+    capped = sum(1 << v for v in range(1, top) if not cap[v])
+    stop = length - 1  # the second-to-last position, left to the caller
+    word = [0] * stop  # word[p]: the value at position p, 0 before the first
+    lo = [1] * length  # position p takes values in range(lo[p], hi[p])
+    hi = [top] * length
     limit = budget.max_work
     placed = 0
     pos = 1
     while pos:
-        if pos == length:  # the last position's range ends the words
+        if pos == stop:
             if lo[pos] < hi[pos]:
-                placed += hi[pos] - lo[pos]
+                placed += yield lo[pos], hi[pos], capped, usage
                 if placed > limit:
-                    raise budget.refusal("values placed by a word walk")
-                yield lo[pos], hi[pos], least[pos], usage
+                    raise budget.refusal(_WALK_WORK)
             pos -= 1
             continue
         value = word[pos]
         if value:  # take the last value back and try the ones after it
+            if usage[value] == cap[value]:
+                capped ^= 1 << value
             usage[value] -= 1
             value += 1
         else:
@@ -172,14 +180,11 @@ def _pattern_walk(
             continue
         placed += 1
         if placed > limit:
-            raise budget.refusal("values placed by a word walk")
+            raise budget.refusal(_WALK_WORK)
         usage[value] += 1
+        if usage[value] == cap[value]:
+            capped |= 1 << value
         word[pos] = value
-        below = least[pos]
-        if value == below:  # it may have reached its cap
-            while below < top and usage[below] >= cap[below]:
-                below += 1
-        least[pos + 1] = below
         if falls[pos]:
             lo[pos + 1], hi[pos + 1] = 1, value
         else:
@@ -191,14 +196,45 @@ def _pattern_words(
     descents: DescentSet, caps: Sequence[int]
 ) -> Iterator[tuple[int, list[int]]]:
     """Yield ``(last value, usage)`` for every word of :func:`_pattern_walk`
-    under the default budget, ``usage`` now counting the last value too."""
+    under the default budget, ``usage`` now counting all ``largest`` values.
+
+    The last two positions are looped over here, one word at a time, and
+    charged as the walk asks; a word of one value has only a last range.
+    """
     cap = (0, *caps)
-    for lo, hi, _, usage in _pattern_walk(descents, caps):
-        for last in range(lo, hi):
-            if usage[last] < cap[last]:
-                usage[last] += 1
+    top = len(cap)
+    length = descents.largest
+    if length == 1:
+        if top - 1 > DEFAULT_BUDGET.max_work:
+            raise DEFAULT_BUDGET.refusal(_WALK_WORK)
+        usage = [0] * top
+        for last in range(1, top):
+            if cap[last]:
+                usage[last] = 1
                 yield last, usage
-                usage[last] -= 1
+                usage[last] = 0
+        return
+    fall = length - 1 in descents  # the word drops before its last value
+    walk = _pattern_walk(descents, caps)
+    work = None
+    while True:
+        try:
+            lo, hi, _, usage = walk.send(work)
+        except StopIteration:
+            return
+        work = 0
+        for value in range(lo, hi):
+            if usage[value] == cap[value]:
+                continue
+            usage[value] += 1
+            first, end = (1, value) if fall else (value, top)
+            work += 1 + end - first
+            for last in range(first, end):
+                if usage[last] < cap[last]:
+                    usage[last] += 1
+                    yield last, usage
+                    usage[last] -= 1
+            usage[value] -= 1
 
 
 def count_prefix(
@@ -210,22 +246,60 @@ def count_prefix(
     multiset sorted after them (the whole word for the empty set: count 1),
     so the final descent holds exactly when the last prefix value exceeds
     the smallest value not yet used up.  The last value can use up only
-    itself, so that smallest value may be read before it, as the walk's
-    ``least``: of the last values below their caps, all count but
-    ``least``.  Only the prefixes are walked, pruned by the forced
-    comparisons, and each last position's range is counted at once; the
-    budget caps the values placed or offered.
+    itself, so that smallest value may be read before it, as ``least``
+    after the second-to-last value: of the last values below their caps,
+    all count but ``least``.
+
+    Only the prefixes are walked, pruned by the forced comparisons, and the
+    walk stops two positions short.  Each second-to-last value ``a`` is one
+    iteration of a tight loop, and its last range, range(1, a) after a
+    drop or range(a, n + 1) after an ascent, is counted at once: its size,
+    less its values at their caps (a bit count of the walk's cap mask),
+    less 1 if ``least`` lies in it.  ``least`` moves only when ``a`` is
+    ``least`` and reaches its cap.  The budget caps the values placed or
+    offered, as the walk charges them.
     """
     require_positive(n=n, m=m)
     if not descents:
         return 1  # no prefix: the whole word is its sorted tail
-    if descents.largest >= n * m:
+    length = descents.largest
+    if length >= n * m:
         return 0  # no successor position left for the final descent
-    walk = _pattern_walk(descents, (m,) * n, budget or DEFAULT_BUDGET)
-    return sum(
-        hi - lo - usage[lo:hi].count(m) - (lo <= least < hi)
-        for lo, hi, least, usage in walk
-    )
+    budget = budget or DEFAULT_BUDGET
+    if length == 1:  # the last range is 1..n, and least is 1
+        if n > budget.max_work:
+            raise budget.refusal(_WALK_WORK)
+        return n - 1
+    top = n + 1
+    fill = m - 1  # a value used this often reaches its cap when placed
+    fall = length - 1 in descents
+    walk = _pattern_walk(descents, (m,) * n, budget)
+    total = 0
+    work = None
+    while True:
+        try:
+            lo, hi, capped, usage = walk.send(work)
+        except StopIteration:
+            return total
+        work = 0
+        taken = capped | 1  # value 0 counts as used up
+        least = (taken ^ (taken + 1)).bit_length() - 1  # lowest clear bit
+        if fall:  # least < a lies in range(1, a) unless a is least
+            for a in range(lo, hi):
+                if capped >> a & 1:
+                    continue
+                work += a  # a, then the a - 1 last values offered
+                total += a - 1 - (capped & ((1 << a) - 1)).bit_count() - (a != least)
+        else:  # least < a is outside range(a, top), and least >= a inside it
+            for a in range(lo, hi):
+                bit = 1 << a
+                if capped & bit:
+                    continue
+                work += 1 + top - a
+                full = capped | bit if usage[a] == fill else capped
+                # if a is least and reaches its cap, least moves up to the
+                # next free value, which n*m > largest keeps below top
+                total += top - a - (full >> a).bit_count() - (a == least)
 
 
 def count_content(parts: Sequence[int], descents: DescentSet) -> int:

@@ -4,6 +4,7 @@ The expected numbers here were derived by hand or by the independent helper
 enumerations in this file, never from the functions under test.
 """
 
+from collections import Counter
 from itertools import permutations, product
 from math import factorial
 
@@ -24,6 +25,7 @@ from multidescent.oracle import (
     count_onto_upper,
     count_prefix,
     descent_histogram,
+    _pattern_words,
 )
 
 
@@ -99,7 +101,7 @@ def test_descent_histogram_refuses_like_count_naive():
     st.sets(st.integers(1, 10), max_size=5),
     st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 10 // n))),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_count_naive_agrees_with_count_prefix(elements, size):
     # n = 10, m = 1 is left out: one enumeration of 10! words takes 3 s
     ds = DescentSet(elements)
@@ -167,6 +169,26 @@ def test_count_prefix_charges_the_last_position():
     assert count_prefix(DescentSet((1,)), 5, 1, EnumerationBudget(5)) == 4
 
 
+@pytest.mark.parametrize(
+    "elements,n,m,least_work",
+    [
+        ((1,), 5, 1, 5),  # no second-to-last position: one last range
+        ((2,), 3, 2, 9),  # the second-to-last position is the first
+        ((3, 4), 4, 2, 69),  # the last step drops
+        ((2, 4), 4, 2, 99),  # the last step ascends
+        ((1, 3), 4, 1, 30),  # m = 1: every second-to-last value caps, least moves
+        ((2, 4, 6, 8), 8, 4, 758_639),  # the heaviest count-dense op
+    ],
+)
+def test_count_prefix_refusal_thresholds_are_pinned(elements, n, m, least_work):
+    # the least max_work that answers, one value placed or offered a unit
+    ds = DescentSet(elements)
+    expected = count_via_jacobi_trudi(ds, n, m)
+    assert count_prefix(ds, n, m, EnumerationBudget(least_work)) == expected
+    with pytest.raises(BudgetExceededError, match=f"max_work = {least_work - 1}$"):
+        count_prefix(ds, n, m, EnumerationBudget(least_work - 1))
+
+
 def _sets_within(top):
     from itertools import combinations
 
@@ -177,10 +199,14 @@ def _sets_within(top):
 
 
 def test_count_prefix_agrees_with_count_naive_on_a_small_grid():
-    for ds in _sets_within(3):
-        for n in range(1, 4):
-            for m in range(1, 3):
-                assert count_prefix(ds, n, m) == count_naive(ds, n, m), (ds, n, m)
+    # every (n, m) with n <= 5, m <= 4 and n*m <= 10: about 120,000 words,
+    # each set's naive count read off one histogram per (n, m)
+    for n in range(1, 6):
+        for m in range(1, min(4, 10 // n) + 1):
+            histogram = descent_histogram(n, m)
+            for ds in _sets_within(6):
+                expected = histogram.get(ds, 0)
+                assert count_prefix(ds, n, m) == expected, (ds, n, m)
 
 
 def test_count_prefix_weakly_increases_with_multiplicity():
@@ -303,7 +329,9 @@ def _pattern_reference(ds, values):
 
 
 def test_walk_counters_match_a_product_reference():
-    for ds in _sets_within(4):
+    # every set within {1..4}, and longer sets whose last step drops
+    longer = [DescentSet(e) for e in ((4, 5), (2, 4, 5), (1, 3, 4, 5))]
+    for ds in _sets_within(4) + longer:
         d = ds.largest
         for r in range(1, d + 1):
             for parts in product(range(1, d + 1), repeat=r):
@@ -332,6 +360,23 @@ def test_walk_counters_match_a_product_reference():
             assert count_onto_full(ds, i) == sum(
                 1 for w in words if w[-1] != 1 and set(w) == upper | {1}
             ), (ds, i)
+
+
+def test_pattern_words_lists_every_word():
+    # the last two positions are looped outside the walk; every capped word
+    # must still come out exactly once, with its value counts
+    for ds in _sets_within(5):
+        for caps in ((1, 2, 1), (0, 2, 3), (2, 0, 1, 2), (ds.largest,) * 3):
+            values = range(1, len(caps) + 1)
+            expected = Counter(
+                (w[-1], tuple(w.count(v) for v in values))
+                for w in _pattern_reference(ds, len(caps))
+                if all(w.count(v) <= caps[v - 1] for v in values)
+            )
+            listed = Counter(
+                (last, tuple(usage[1:])) for last, usage in _pattern_words(ds, caps)
+            )
+            assert listed == expected, (ds, caps)
 
 
 def test_count_prefix_matches_a_product_reference():
