@@ -10,16 +10,17 @@ positions short.  It hands over the range of the second-to-last position
 with a bit mask of the values at their caps, and its caller places that
 value in a loop of its own: ``count_prefix`` then counts each last range
 at once with a bit count of the mask, and ``_pattern_words`` lists the
-last values one by one for the rest.  Walker and caller charge one
-budget in one unit: 1 per value placed before the last position, and the
-size of each last range.  The formula modules must match these on
+last values one by one for the rest.  The walk alone charges the budget,
+in one unit: 1 per value placed before the last position, and the size of
+each last range, each second-to-last range charged before its caller
+works through it.  The formula modules must match these on
 overlapping domains; tests and the verify suite enforce that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     BudgetExceededError,
@@ -118,27 +119,27 @@ def _pattern_walk(
     descents: DescentSet,
     caps: Sequence[int],
     budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> Generator[tuple[int, int, int, list[int]], int, None]:
+) -> Iterator[tuple[int, int, int, list[int]]]:
     """Walk the words of length ``largest`` >= 2 over 1..len(caps) that use
     each value v at most ``caps[v-1]`` times and drop strictly exactly at
     the descent set without its largest element, two positions short.
     Yield ``(lo, hi, capped, usage)`` once per word without its last two
     values.
 
-    The second-to-last value is any v in range(lo, hi) below its cap; the
-    caller places it and each last value, and sends back the work that
-    took, in the budget's unit: 1 per second-to-last value placed plus the
-    size of each last range.  ``usage[v]`` is how often v occurs in the
-    first ``largest - 2`` positions (``usage[0]`` stays 0), and bit v of
-    ``capped`` is set when v is at its cap, so ``least``, the smallest
-    value below its cap, is its lowest clear bit above bit 0.  The list is
-    live: leave it as it was before sending.  The walk is a depth-first
-    search on an explicit stack, the value and the range of values still
-    open at each position, so memory is O(largest + len(caps)) and no
-    length meets a recursion limit.  Nothing is memoized or merged: every
-    word without its last two values is reached on its own.  The walk
-    charges each value it places and the work sent back; more than the
-    budget's ``max_work`` raises.
+    The second-to-last value is any v in range(lo, hi) below its cap, and
+    the caller places it and each last value.  ``usage[v]`` is how often v
+    occurs in the first ``largest - 2`` positions (``usage[0]`` stays 0),
+    and bit v of ``capped`` is set when v is at its cap, so ``least``, the
+    smallest value below its cap, is its lowest clear bit above bit 0.  The
+    list is live: leave it as it was before asking for the next yield.  The
+    walk is a depth-first search on an explicit stack, the value and the
+    range of values still open at each position, so memory is
+    O(largest + len(caps)) and no length meets a recursion limit.  Nothing
+    is memoized or merged: every word without its last two values is
+    reached on its own.  The walk charges 1 per value placed and, before
+    it yields a range, 1 per value the caller may place there plus the
+    size of that value's last range; more than the budget's ``max_work``
+    raises, before the caller does the work.
     """
     length = descents.largest
     falls = [False] * length  # falls[p]: the word drops after position p
@@ -149,6 +150,7 @@ def _pattern_walk(
     usage = [0] * top
     capped = sum(1 << v for v in range(1, top) if not cap[v])
     stop = length - 1  # the second-to-last position, left to the caller
+    fall = falls[stop]  # last ranges are range(1, a) after a drop, else range(a, top)
     word = [0] * stop  # word[p]: the value at position p, 0 before the first
     lo = [1] * length  # position p takes values in range(lo[p], hi[p])
     hi = [top] * length
@@ -157,10 +159,25 @@ def _pattern_walk(
     pos = 1
     while pos:
         if pos == stop:
-            if lo[pos] < hi[pos]:
-                placed += yield lo[pos], hi[pos], capped, usage
+            # charge each value a of the range below its cap and its last
+            # range, a after a drop and 1 + top - a after an ascent: the
+            # charges of the whole range less those of the capped values
+            first, end = lo[pos], hi[pos]
+            if fall:
+                work = (first + end - 1) * (end - first) // 2
+            else:
+                work = (2 * top + 3 - first - end) * (end - first) // 2
+            rest = capped & ((1 << end) - (1 << first))
+            while rest:
+                low = rest & -rest
+                a = low.bit_length() - 1
+                work -= a if fall else 1 + top - a
+                rest ^= low
+            if work:  # every charge is positive: some value is free
+                placed += work
                 if placed > limit:
                     raise budget.refusal(_WALK_WORK)
+                yield first, end, capped, usage
             pos -= 1
             continue
         value = word[pos]
@@ -193,20 +210,23 @@ def _pattern_walk(
 
 
 def _pattern_words(
-    descents: DescentSet, caps: Sequence[int]
+    descents: DescentSet,
+    caps: Sequence[int],
+    budget: EnumerationBudget = DEFAULT_BUDGET,
 ) -> Iterator[tuple[int, list[int]]]:
-    """Yield ``(last value, usage)`` for every word of :func:`_pattern_walk`
-    under the default budget, ``usage`` now counting all ``largest`` values.
+    """Yield ``(last value, usage)`` for every word of :func:`_pattern_walk`,
+    ``usage`` now counting all ``largest`` values.
 
-    The last two positions are looped over here, one word at a time, and
-    charged as the walk asks; a word of one value has only a last range.
+    The last two positions are looped over here, one word at a time, within
+    what the walk has charged.  A word of one value is only a last range,
+    range(1, len(caps) + 1), charged here in full.
     """
     cap = (0, *caps)
     top = len(cap)
     length = descents.largest
     if length == 1:
-        if top - 1 > DEFAULT_BUDGET.max_work:
-            raise DEFAULT_BUDGET.refusal(_WALK_WORK)
+        if top - 1 > budget.max_work:
+            raise budget.refusal(_WALK_WORK)
         usage = [0] * top
         for last in range(1, top):
             if cap[last]:
@@ -215,21 +235,12 @@ def _pattern_words(
                 usage[last] = 0
         return
     fall = length - 1 in descents  # the word drops before its last value
-    walk = _pattern_walk(descents, caps)
-    work = None
-    while True:
-        try:
-            lo, hi, _, usage = walk.send(work)
-        except StopIteration:
-            return
-        work = 0
+    for lo, hi, _, usage in _pattern_walk(descents, caps, budget):
         for value in range(lo, hi):
             if usage[value] == cap[value]:
                 continue
             usage[value] += 1
-            first, end = (1, value) if fall else (value, top)
-            work += 1 + end - first
-            for last in range(first, end):
+            for last in range(1, value) if fall else range(value, top):
                 if usage[last] < cap[last]:
                     usage[last] += 1
                     yield last, usage
@@ -256,8 +267,9 @@ def count_prefix(
     drop or range(a, n + 1) after an ascent, is counted at once: its size,
     less its values at their caps (a bit count of the walk's cap mask),
     less 1 if ``least`` lies in it.  ``least`` moves only when ``a`` is
-    ``least`` and reaches its cap.  The budget caps the values placed or
-    offered, as the walk charges them.
+    ``least`` and reaches its cap.  A prefix of one value is its last
+    range, and all its values count but 1.  The walk charges the budget
+    for the values placed or offered, before they are.
     """
     require_positive(n=n, m=m)
     if not descents:
@@ -266,40 +278,31 @@ def count_prefix(
     if length >= n * m:
         return 0  # no successor position left for the final descent
     budget = budget or DEFAULT_BUDGET
-    if length == 1:  # the last range is 1..n, and least is 1
-        if n > budget.max_work:
-            raise budget.refusal(_WALK_WORK)
-        return n - 1
+    caps = (m,) * n
+    if length == 1:
+        return sum(last > 1 for last, _ in _pattern_words(descents, caps, budget))
     top = n + 1
     fill = m - 1  # a value used this often reaches its cap when placed
     fall = length - 1 in descents
-    walk = _pattern_walk(descents, (m,) * n, budget)
     total = 0
-    work = None
-    while True:
-        try:
-            lo, hi, capped, usage = walk.send(work)
-        except StopIteration:
-            return total
-        work = 0
+    for lo, hi, capped, usage in _pattern_walk(descents, caps, budget):
         taken = capped | 1  # value 0 counts as used up
         least = (taken ^ (taken + 1)).bit_length() - 1  # lowest clear bit
         if fall:  # least < a lies in range(1, a) unless a is least
             for a in range(lo, hi):
                 if capped >> a & 1:
                     continue
-                work += a  # a, then the a - 1 last values offered
                 total += a - 1 - (capped & ((1 << a) - 1)).bit_count() - (a != least)
         else:  # least < a is outside range(a, top), and least >= a inside it
             for a in range(lo, hi):
                 bit = 1 << a
                 if capped & bit:
                     continue
-                work += 1 + top - a
                 full = capped | bit if usage[a] == fill else capped
                 # if a is least and reaches its cap, least moves up to the
                 # next free value, which n*m > largest keeps below top
                 total += top - a - (full >> a).bit_count() - (a == least)
+    return total
 
 
 def count_content(parts: Sequence[int], descents: DescentSet) -> int:

@@ -25,6 +25,7 @@ from multidescent.oracle import (
     count_onto_upper,
     count_prefix,
     descent_histogram,
+    _pattern_walk,
     _pattern_words,
 )
 
@@ -396,6 +397,22 @@ def test_walks_have_no_recursion_ceiling():
     assert count_last_fixed(ds, 1, 1) == 1
     assert count_coeff_witnesses(ds, 1) == 1100  # 1^a 2^(1100-a), a < 1100
     assert count_prefix(ds, 2, 1100) == 1100 == count_via_jacobi_trudi(ds, 2, 1100)
+
+
+def test_walks_refuse_a_range_before_working_through_it():
+    # each first range alone is over the default budget, and the walk
+    # charges it before its caller lists or counts a word of it, so the
+    # refusal comes at once however wide the alphabet
+    over = "max_work = 10000000"
+    for ds in (DescentSet((2,)), DescentSet((1, 2))):
+        with pytest.raises(BudgetExceededError, match=over):
+            next(_pattern_walk(ds, (1,) * 10**6))
+        with pytest.raises(BudgetExceededError, match=over):
+            next(_pattern_words(ds, (2,) * 10**5))
+        with pytest.raises(BudgetExceededError, match=over):
+            count_prefix(ds, 10**6, 1)
+        with pytest.raises(BudgetExceededError, match=over):
+            count_coeff_witnesses(ds, 10**5)
 
 
 def test_count_prefix_budget_trips_on_a_deep_walk():
