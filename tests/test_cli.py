@@ -526,3 +526,175 @@ def test_installed_entry_point_round_trip(launch):
     # SystemExit code propagates through the console wrapper
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["agree"] is True
+
+
+# Exact bytes of each subcommand and format, recorded before the handlers
+# shared one printer: stdout (the CSV keeps its \r\n line ends), stderr and
+# the exit code.
+_GOLDEN = {
+    "count-text": (
+        "count --set 2,4 --n 3 --m 3",
+        0,
+        b'naive        16\n'
+        b'prefix       16\n'
+        b'recurrence   16\n'
+        b'jacobi-trudi 16\n',
+        b'',
+    ),
+    "count-json": (
+        "count --set 2,4 --n 3 --m 3 --format json",
+        0,
+        b'{"set": [2, 4], "n": 3, "m": 3, "counts": {"naive": "16",'
+        b' "prefix": "16", "recurrence": "16", "jacobi-trudi": "16"},'
+        b' "agree": true}\n',
+        b'',
+    ),
+    "count-skips-naive": (
+        "count --set 2 --n 12 --m 1",
+        0,
+        b'prefix       65\n'
+        b'recurrence   65\n'
+        b'jacobi-trudi 65\n',
+        b'naive: skipped (full enumeration at n = 12, m = 1,'
+        b' more than max_work = 10000000)\n',
+    ),
+    "dinf-text": (
+        "dinf --set 2,4,5 --n 7",
+        0,
+        b'1581\n',
+        b'',
+    ),
+    "dinf-json": (
+        "dinf --set 2,4,5 --n 7 --format json",
+        0,
+        b'{"set": [2, 4, 5], "n": 7, "value": "1581"}\n',
+        b'',
+    ),
+    "coeffs-text": (
+        "coeffs --set 2,4,5 --k -1",
+        0,
+        b'offset -1: 0 0 8 36 43 16\n',
+        b'',
+    ),
+    "coeffs-json": (
+        "coeffs --set 2,4,5 --k -1 --format json",
+        0,
+        b'{"k": -1, "coeffs": ["0", "0", "8", "36", "43", "16"]}\n',
+        b'',
+    ),
+    "stabilize-text": (
+        "stabilize --set 4,8,9 --n 4",
+        0,
+        b'M = 7\n'
+        b'sweep at n = 4:\n'
+        b'  m=1   count=0\n'
+        b'  m=2   count=0\n'
+        b'  m=3   count=286\n'
+        b'  m=4   count=962\n'
+        b'  m=5   count=1330\n'
+        b'  m=6   count=1450\n'
+        b'  m=7   count=1474  (stable)\n'
+        b'  m=8   count=1474  (stable)\n'
+        b'  m=9   count=1474  (stable)\n',
+        b'',
+    ),
+    "stabilize-json": (
+        "stabilize --set 4,8,9 --n 4 --format json",
+        0,
+        b'{"set": [4, 8, 9], "stabilization": 7, "n": 4, "sweep": [{"m": 1,'
+        b' "count": "0"}, {"m": 2, "count": "0"}, {"m": 3, "count": "286"},'
+        b' {"m": 4, "count": "962"}, {"m": 5, "count": "1330"}, {"m": 6,'
+        b' "count": "1450"}, {"m": 7, "count": "1474"}, {"m": 8,'
+        b' "count": "1474"}, {"m": 9, "count": "1474"}]}\n',
+        b'',
+    ),
+    "table-csv": (
+        "table --set 1 --n-range 1:3 --m-range 1:2 --format csv",
+        0,
+        b'n,m,count\r\n'
+        b'1,1,0\r\n'
+        b'1,2,0\r\n'
+        b'2,1,1\r\n'
+        b'2,2,1\r\n'
+        b'3,1,2\r\n'
+        b'3,2,2\r\n',
+        b'',
+    ),
+    "table-json": (
+        "table --set 1 --n-range 1:3 --m-range 1:2 --format json",
+        0,
+        b'{"set": [1], "rows": [{"n": 1, "m": 1, "count": "0"}, {"n": 1,'
+        b' "m": 2, "count": "0"}, {"n": 2, "m": 1, "count": "1"}, {"n": 2,'
+        b' "m": 2, "count": "1"}, {"n": 3, "m": 1, "count": "2"}, {"n": 3,'
+        b' "m": 2, "count": "2"}]}\n',
+        b'',
+    ),
+    "table-text": (
+        "table --set 1 --n-range 1:3 --m-range 1:2 --format text",
+        0,
+        b'   n    m        count\n'
+        b'   1    1            0\n'
+        b'   1    2            0\n'
+        b'   2    1            1\n'
+        b'   2    2            1\n'
+        b'   3    1            2\n'
+        b'   3    2            2\n',
+        b'',
+    ),
+    "verify-text": (
+        "verify --quick",
+        0,
+        b'PASS four-route agreement (103 checks)\n'
+        b'PASS multiplicity monotonicity (14 checks)\n'
+        b'PASS stabilization point (74 checks)\n'
+        b'PASS stabilized closed form (90 checks)\n'
+        b'PASS last-value formula (72 checks)\n'
+        b'PASS coefficient windows (143 checks)\n'
+        b'PASS alternating prefixes (106 checks)\n'
+        b'PASS coefficient sign survey (90 checks)\n'
+        b'PASS single-descent closed form (24 checks)\n'
+        b'PASS polynomial in the alphabet size (14 checks)\n'
+        b'PASS ribbon construction (22 checks)\n'
+        b'PASS basis shift round trips (98 checks)\n'
+        b'PASS coefficient evaluation (60 checks)\n'
+        b'PASS witness decompositions (60 checks)\n',
+        b'',
+    ),
+    "verify-json": (
+        "verify --quick --format json",
+        0,
+        b'[{"name": "four-route agreement", "passed": true, "checks": 103,'
+        b' "failures": []}, {"name": "multiplicity monotonicity",'
+        b' "passed": true, "checks": 14, "failures": []},'
+        b' {"name": "stabilization point", "passed": true, "checks": 74,'
+        b' "failures": []}, {"name": "stabilized closed form",'
+        b' "passed": true, "checks": 90, "failures": []},'
+        b' {"name": "last-value formula", "passed": true, "checks": 72,'
+        b' "failures": []}, {"name": "coefficient windows", "passed": true,'
+        b' "checks": 143, "failures": []}, {"name": "alternating prefixes",'
+        b' "passed": true, "checks": 106, "failures": []},'
+        b' {"name": "coefficient sign survey", "passed": true, "checks": 90,'
+        b' "failures": []}, {"name": "single-descent closed form",'
+        b' "passed": true, "checks": 24, "failures": []},'
+        b' {"name": "polynomial in the alphabet size", "passed": true,'
+        b' "checks": 14, "failures": []}, {"name": "ribbon construction",'
+        b' "passed": true, "checks": 22, "failures": []},'
+        b' {"name": "basis shift round trips", "passed": true, "checks": 98,'
+        b' "failures": []}, {"name": "coefficient evaluation",'
+        b' "passed": true, "checks": 60, "failures": []},'
+        b' {"name": "witness decompositions", "passed": true, "checks": 60,'
+        b' "failures": []}]\n',
+        b'',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _GOLDEN)
+def test_output_bytes_are_pinned(case):
+    argv, code, out, err = _GOLDEN[case]
+    proc = subprocess.run(
+        [sys.executable, "-m", "multidescent", *argv.split()],
+        capture_output=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
