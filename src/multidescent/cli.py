@@ -83,73 +83,76 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="multidescent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    count = sub.add_parser("count", help="count words with a given descent set")
-    count.add_argument("--set", required=True, help="descent set, e.g. '2,4,5'")
-    count.add_argument("--n", type=int, required=True, help="alphabet size")
-    count.add_argument("--m", type=int, required=True, help="copies of each value")
-    count.add_argument(
-        "--method",
-        choices=("all", *ROUTES),
-        default="all",
-        help="which route to run (default: all; one over budget is skipped)",
-    )
-    count.add_argument(
-        "--budget",
-        type=int,
-        metavar="N",
-        help=f"cap on each route's work (default {oracle.DEFAULT_BUDGET.max_work})",
-    )
-    count.add_argument("--format", choices=("text", "json"), default="text")
-    count.set_defaults(handler=_cmd_count)
+    def command(name, handler, help, formats=("text", "json"), takes_set=True, **opts):
+        # --set (all but verify; parsed before the handler runs), then each
+        # option under its attribute name (n_range is --n-range), then --format
+        cmd = sub.add_parser(name, help=help)
+        run = handler
+        if takes_set:
+            cmd.add_argument("--set", required=True, help="descent set, e.g. '2,4,5'")
+            run = lambda args: handler(args, parse_set(args.set))
+        for dest, settings in opts.items():
+            cmd.add_argument("--" + dest.replace("_", "-"), **settings)
+        cmd.add_argument("--format", choices=formats, default=formats[0])
+        cmd.set_defaults(handler=run)
 
-    dinf = sub.add_parser("dinf", help="stabilized count at a given alphabet size")
-    dinf.add_argument("--set", required=True)
-    dinf.add_argument("--n", type=int, required=True)
-    dinf.add_argument("--format", choices=("text", "json"), default="text")
-    dinf.set_defaults(handler=_cmd_dinf)
-
-    coeffs = sub.add_parser(
-        "coeffs", help="coefficients of the stabilized count in a binomial base"
+    command(
+        "count", _cmd_count, "count words with a given descent set",
+        n=dict(type=int, required=True, help="alphabet size"),
+        m=dict(type=int, required=True, help="copies of each value"),
+        method=dict(
+            choices=("all", *ROUTES),
+            default="all",
+            help="which route to run (default: all; one over budget is skipped)",
+        ),
+        budget=dict(
+            type=int,
+            metavar="N",
+            help=f"cap on each route's work (default {oracle.DEFAULT_BUDGET.max_work})",
+        ),
     )
-    coeffs.add_argument("--set", required=True)
-    coeffs.add_argument(
-        "--k", type=int, default=-1, help="base offset (default -1)"
+    command(
+        "dinf", _cmd_dinf, "stabilized count at a given alphabet size",
+        n=dict(type=int, required=True),
     )
-    coeffs.add_argument("--format", choices=("text", "json"), default="text")
-    coeffs.set_defaults(handler=_cmd_coeffs)
-
-    stab = sub.add_parser(
-        "stabilize", help="stabilization point and a multiplicity sweep"
+    command(
+        "coeffs", _cmd_coeffs, "coefficients of the stabilized count in a binomial base",
+        k=dict(type=int, default=-1, help="base offset (default -1)"),
     )
-    stab.add_argument("--set", required=True)
-    stab.add_argument(
-        "--n",
-        type=int,
-        help="alphabet size for the sweep (default: longest run + 1, the "
-        "smallest size where the final strict rise is guaranteed)",
+    command(
+        "stabilize", _cmd_stabilize, "stabilization point and a multiplicity sweep",
+        n=dict(
+            type=int,
+            help="alphabet size for the sweep (default: longest run + 1, the "
+            "smallest size where the final strict rise is guaranteed)",
+        ),
     )
-    stab.add_argument("--format", choices=("text", "json"), default="text")
-    stab.set_defaults(handler=_cmd_stabilize)
-
-    ver = sub.add_parser("verify", help="run the cross-route identity suite")
-    ver.add_argument(
-        "--quick", action="store_true", help="smaller grids, a few seconds"
+    command(
+        "verify", _cmd_verify, "run the cross-route identity suite", takes_set=False,
+        quick=dict(action="store_true", help="smaller grids"),
     )
-    ver.add_argument("--format", choices=("text", "json"), default="text")
-    ver.set_defaults(handler=_cmd_verify)
-
-    table = sub.add_parser("table", help="grid of counts over n and m ranges")
-    table.add_argument("--set", required=True)
-    table.add_argument("--n-range", required=True, metavar="LO:HI")
-    table.add_argument("--m-range", required=True, metavar="LO:HI")
-    table.add_argument("--format", choices=("csv", "json", "text"), default="csv")
-    table.set_defaults(handler=_cmd_table)
-
+    command(
+        "table", _cmd_table, "grid of counts over n and m ranges",
+        formats=("csv", "json", "text"),
+        n_range=dict(required=True, metavar="LO:HI"),
+        m_range=dict(required=True, metavar="LO:HI"),
+    )
     return parser
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
-    ds = parse_set(args.set)
+def _show(args: argparse.Namespace, payload: object, lines: Iterable, rows=()) -> None:
+    """Print one command's answer in its ``--format``: ``payload`` as one
+    JSON line, ``rows`` through the csv module (its lines end in \\r\\n),
+    or else ``lines`` as text."""
+    if args.format == "json":
+        print(json.dumps(payload))
+    elif args.format == "csv":
+        csv.writer(sys.stdout).writerows(rows)
+    else:
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+
+
+def _cmd_count(args: argparse.Namespace, ds: DescentSet) -> int:
     budget = None if args.budget is None else oracle.EnumerationBudget(args.budget)
     chosen = ROUTES if args.method == "all" else (args.method,)
     results: dict[str, int] = {}
@@ -165,104 +168,84 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if not results:
         raise refusals[0]  # no count to print: exit with the budget's code
     agree = len(set(results.values())) <= 1
-    if args.format == "json":
-        payload = {
-            "set": list(ds),
-            "n": args.n,
-            "m": args.m,
-            "counts": {name: str(value) for name, value in results.items()},
-            "agree": agree,
-        }
-        print(json.dumps(payload))
-    else:
-        for name, value in results.items():
-            print(f"{name:<12} {value}")
+    payload = {
+        "set": list(ds),
+        "n": args.n,
+        "m": args.m,
+        "counts": {name: str(value) for name, value in results.items()},
+        "agree": agree,
+    }
+    _show(args, payload, (f"{name:<12} {value}" for name, value in results.items()))
     if not agree:
         print("DISAGREEMENT between routes", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 
 
-def _cmd_dinf(args: argparse.Namespace) -> int:
-    ds = parse_set(args.set)
+def _cmd_dinf(args: argparse.Namespace, ds: DescentSet) -> int:
     if args.n < 1:
         raise UsageError("--n must be positive")
     value = formulas.stable_descent_count(ds, args.n)
-    if args.format == "json":
-        print(json.dumps({"set": list(ds), "n": args.n, "value": str(value)}))
-    else:
-        print(value)
+    _show(args, {"set": list(ds), "n": args.n, "value": str(value)}, [value])
     return EXIT_OK
 
 
-def _cmd_coeffs(args: argparse.Namespace) -> int:
-    ds = parse_set(args.set)
-    poly = polybasis.extract_coeffs(ds, args.k)
-    if args.format == "json":
-        print(json.dumps({"k": args.k, "coeffs": [str(c) for c in poly.coeffs]}))
-    else:
-        rendered = " ".join(str(c) for c in poly.coeffs)
-        print(f"offset {args.k}: {rendered}")
+def _cmd_coeffs(args: argparse.Namespace, ds: DescentSet) -> int:
+    coeffs = [str(c) for c in polybasis.extract_coeffs(ds, args.k).coeffs]
+    text = f"offset {args.k}: {' '.join(coeffs)}"
+    _show(args, {"k": args.k, "coeffs": coeffs}, [text])
     return EXIT_OK
 
 
-def _cmd_stabilize(args: argparse.Namespace) -> int:
-    ds = parse_set(args.set)
+def _cmd_stabilize(args: argparse.Namespace, ds: DescentSet) -> int:
     point = formulas.stabilization_point(ds)
     n = args.n if args.n is not None else ds.longest_run + 1
     if n < 1:
         raise UsageError("--n must be positive")
     sweep = [(m, schur.count_via_jacobi_trudi(ds, n, m)) for m in range(1, point + 3)]
-    if args.format == "json":
-        payload = {
-            "set": list(ds),
-            "stabilization": point,
-            "n": n,
-            "sweep": [{"m": m, "count": str(c)} for m, c in sweep],
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"M = {point}")
-        print(f"sweep at n = {n}:")
-        for m, c in sweep:
-            marker = "  (stable)" if m >= point else ""
-            print(f"  m={m:<3} count={c}{marker}")
+    payload = {
+        "set": list(ds),
+        "stabilization": point,
+        "n": n,
+        "sweep": [{"m": m, "count": str(c)} for m, c in sweep],
+    }
+    lines = [f"M = {point}", f"sweep at n = {n}:"]
+    for m, c in sweep:
+        lines.append(f"  m={m:<3} count={c}{'  (stable)' if m >= point else ''}")
+    _show(args, payload, lines)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports = verify.full_suite(quick=args.quick)
-    failed = [r for r in reports if not r.passed]
-    if args.format == "json":
-        payload = [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "checks": len(r.checks),
-                "failures": [
-                    {
-                        "claim": c.claim,
-                        "expected": str(c.expected),
-                        "actual": str(c.actual),
-                    }
-                    for c in r.failures
-                ],
-            }
-            for r in reports
-        ]
-        print(json.dumps(payload))
-    else:
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{status} {r.name} ({len(r.checks)} checks)")
-            for c in r.failures:
-                print(f"  failed: {c.claim}")
-                print(f"    expected {c.expected!r}, got {c.actual!r}")
-    return EXIT_VERIFY if failed else EXIT_OK
+    payload = [
+        {
+            "name": r.name,
+            "passed": r.passed,
+            "checks": len(r.checks),
+            "failures": [
+                {
+                    "claim": c.claim,
+                    "expected": str(c.expected),
+                    "actual": str(c.actual),
+                }
+                for c in r.failures
+            ],
+        }
+        for r in reports
+    ]
+    lines = []
+    for r in reports:
+        status = "PASS" if r.passed else "FAIL"
+        lines.append(f"{status} {r.name} ({len(r.checks)} checks)")
+        for c in r.failures:
+            lines.append(f"  failed: {c.claim}")
+            lines.append(f"    expected {c.expected!r}, got {c.actual!r}")
+    _show(args, payload, lines)
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    ds = parse_set(args.set)
+def _cmd_table(args: argparse.Namespace, ds: DescentSet) -> int:
     n_lo, n_hi = _parse_span(args.n_range)
     m_lo, m_hi = _parse_span(args.m_range)
     rows = [
@@ -270,21 +253,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for n in range(n_lo, n_hi + 1)
         for m in range(m_lo, m_hi + 1)
     ]
-    if args.format == "json":
-        payload = {
-            "set": list(ds),
-            "rows": [{"n": n, "m": m, "count": str(c)} for n, m, c in rows],
-        }
-        print(json.dumps(payload))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "m", "count"])
-        for n, m, c in rows:
-            writer.writerow([n, m, c])
-    else:
-        print(f"{'n':>4} {'m':>4} {'count':>12}")
-        for n, m, c in rows:
-            print(f"{n:>4} {m:>4} {c:>12}")
+    payload = {
+        "set": list(ds),
+        "rows": [{"n": n, "m": m, "count": str(c)} for n, m, c in rows],
+    }
+    rows.insert(0, ("n", "m", "count"))
+    _show(args, payload, (f"{n:>4} {m:>4} {c:>12}" for n, m, c in rows), rows)
     return EXIT_OK
 
 
