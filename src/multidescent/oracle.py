@@ -325,9 +325,16 @@ def _free_words(
     descents: DescentSet, i: int, skip_one: bool = False
 ) -> Iterator[tuple[int, list[int]]]:
     """The witness counters' words for index ``i``: length ``largest`` over
-    1..i+1, each value free to repeat, value 1 left out when ``skip_one``."""
+    1..i+1, each value free to repeat, value 1 left out when ``skip_one``.
+
+    The walk charges every free value at least once (placed at position 1,
+    offered in the first range, or counted in the one last range), so more
+    free values than ``max_work`` are refused before any cap is built.
+    """
     strict_ints((i,), "coefficient index", 0)
     free = descents.largest
+    if (i if skip_one else i + 1) > DEFAULT_BUDGET.max_work:
+        raise DEFAULT_BUDGET.refusal(_WALK_WORK)
     return _pattern_words(descents, (0 if skip_one else free,) + (free,) * i)
 
 
@@ -349,27 +356,29 @@ def count_coeff_witnesses(descents: DescentSet, i: int) -> int:
     These are length-``largest`` words with drops exactly at the descent set
     without its largest element, values within 1..i+1, every value of
     2..i+1 present (1 itself is optional), and last value different from 1.
+    A word holds at most ``largest`` distinct values, so for larger ``i`` the
+    walk still runs, and may refuse, but no word passes the test.
     """
-    return sum(
-        1
-        for last, usage in _free_words(descents, i)
-        if last != 1 and all(usage[2:])
-    )
+    words = _free_words(descents, i)
+    fits = i <= descents.largest
+    return sum(1 for last, usage in words if fits and last != 1 and all(usage[2:]))
 
 
 def count_onto_upper(descents: DescentSet, i: int) -> int:
     """Witness words whose value set is exactly {2, ..., i+1}.
 
     For i = 0 the value set is empty and no word of positive length exists,
-    so the count is 0 by convention.
+    so the count is 0 by convention.  As in :func:`count_coeff_witnesses`,
+    no word passes for ``i`` above ``largest``.
     """
-    return sum(1 for _, usage in _free_words(descents, i, True) if all(usage[2:]))
+    words = _free_words(descents, i, True)
+    fits = i <= descents.largest
+    return sum(1 for _, usage in words if fits and all(usage[2:]))
 
 
 def count_onto_full(descents: DescentSet, i: int) -> int:
-    """Witness words using all of {1, ..., i+1} with last value not 1."""
-    return sum(
-        1
-        for last, usage in _free_words(descents, i)
-        if last != 1 and all(usage[1:])
-    )
+    """Witness words using all of {1, ..., i+1} with last value not 1; no
+    word passes for ``i + 1`` above ``largest``."""
+    words = _free_words(descents, i)
+    fits = i + 1 <= descents.largest
+    return sum(1 for last, usage in words if fits and last != 1 and all(usage[1:]))

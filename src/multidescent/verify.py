@@ -400,12 +400,11 @@ def evaluation_report(top: int = 6) -> Report:
     integer, including negative ones."""
     checks = []
     for ds in descent_sets_up_to(top):
+        expected = [
+            formulas.stable_descent_count(ds, n) for n in range(-2, ds.largest + 5)
+        ]
         for k in (-2, -1, 0, 1):
             poly = polybasis.extract_coeffs(ds, k)
-            expected = [
-                formulas.stable_descent_count(ds, n)
-                for n in range(-2, ds.largest + 5)
-            ]
             actual = [poly.evaluate(n) for n in range(-2, ds.largest + 5)]
             checks.append(
                 Check(

@@ -4,6 +4,10 @@ The expected numbers here were derived by hand or by the independent helper
 enumerations in this file, never from the functions under test.
 """
 
+import json
+import subprocess
+import sys
+import time
 from collections import Counter
 from itertools import permutations, product
 from math import factorial
@@ -413,6 +417,50 @@ def test_walks_refuse_a_range_before_working_through_it():
             count_prefix(ds, 10**6, 1)
         with pytest.raises(BudgetExceededError, match=over):
             count_coeff_witnesses(ds, 10**5)
+
+
+@pytest.mark.parametrize(
+    "counter", [count_coeff_witnesses, count_onto_upper, count_onto_full]
+)
+def test_witness_counters_skip_the_value_test_once_it_cannot_hold(counter):
+    # one word of length 2 holds at most 2 values, never all of 2..2001; the
+    # walk still lists its two million words, but no longer slices 2001
+    # usage entries for each of them
+    start = time.process_time()
+    assert counter(DescentSet((2,)), 2000) == 0
+    assert time.process_time() - start < 1.0
+
+
+def test_witness_counters_refuse_before_building_their_caps():
+    # 10**7 free values are over the default budget: the walk would charge
+    # each of them, so the call refuses before it allocates per value
+    script = """
+import json, resource, sys, time
+from multidescent.core import BudgetExceededError, DescentSet
+from multidescent.oracle import count_coeff_witnesses, count_onto_upper
+out = []
+for counter, i in ((count_coeff_witnesses, 10**7), (count_onto_upper, 10**7 + 1)):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    start = time.perf_counter()
+    try:
+        counter(DescentSet((1,)), i)
+    except BudgetExceededError as exc:
+        message = str(exc)
+    seconds = time.perf_counter() - start
+    rise_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    out.append([message, seconds, rise_kb])
+print(json.dumps(out))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    for message, seconds, rise_kb in json.loads(proc.stdout):
+        assert message == (
+            "values placed by a word walk, more than max_work = 10000000"
+        )
+        assert seconds < 0.1
+        assert rise_kb < 4096  # the caps alone would be ~80 MB
 
 
 def test_count_prefix_budget_trips_on_a_deep_walk():
