@@ -211,7 +211,8 @@ def _cmd_stabilize(args: argparse.Namespace, ds: DescentSet) -> int:
     }
     lines = [f"M = {point}", f"sweep at n = {n}:"]
     for m, c in sweep:
-        lines.append(f"  m={m:<3} count={c}{'  (stable)' if m >= point else ''}")
+        marker = "  (stable)" if m >= point else ""
+        lines.append(f"  m={m:<3} count={c}{marker}")
     _show(args, payload, lines)
     return EXIT_OK
 
