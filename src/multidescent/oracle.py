@@ -3,18 +3,19 @@
 Everything here counts by honest enumeration, so the functions stay slow and
 obviously correct.  :func:`descent_histogram` visits every word of one
 (n, m) once and tallies its descent set; :func:`count_naive` reads one set
-off it.  Every other counter is a short filter over one walker,
-``_pattern_walk``, which lists words with a prescribed drop pattern and
-per-value caps on an explicit stack, without memoization, and stops two
-positions short.  It hands over the range of the second-to-last position
-with a bit mask of the values at their caps, and its caller places that
-value in a loop of its own: ``count_prefix`` then counts each last range
-at once with a bit count of the mask, and ``_pattern_words`` lists the
-last values one by one for the rest.  The walk alone charges the budget,
-in one unit: 1 per value placed before the last position, and the size of
+off it.  Every other counter counts over one walker, ``_pattern_walk``,
+which lists words with a prescribed drop pattern and per-value caps on an
+explicit stack, without memoization, and stops two positions short.  It
+hands over the range of the second-to-last position with a bit mask of
+the values at their caps, and its caller places that value in a loop of
+its own and counts each last range at once with a bit count:
+``count_prefix`` in two tight loops of its own, and every other counter
+in one call of ``_count_words``, which also selects by the last value and
+by the values a word must hold.  The walk alone charges the budget, in
+one unit: 1 per value placed before the last position, and the size of
 each last range, each second-to-last range charged before its caller
-works through it.  The formula modules must match these on
-overlapping domains; tests and the verify suite enforce that.
+works through it.  The formula modules must match these on overlapping
+domains; tests and the verify suite enforce that.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def _pattern_walk(
     occurs in the first ``largest - 2`` positions (``usage[0]`` stays 0),
     and bit v of ``capped`` is set when v is at its cap, so ``least``, the
     smallest value below its cap, is its lowest clear bit above bit 0.  The
-    list is live: leave it as it was before asking for the next yield.  The
+    list is live and the walk's own: read it, never change it.  The
     walk is a depth-first search on an explicit stack, the value and the
     range of values still open at each position, so memory is
     O(largest + len(caps)) and no length meets a recursion limit.  Nothing
@@ -209,17 +210,23 @@ def _pattern_walk(
         pos += 1
 
 
-def _pattern_words(
+def _count_words(
     descents: DescentSet,
     caps: Sequence[int],
+    last_ok: int = -1,
+    need: int = 0,
     budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> Iterator[tuple[int, list[int]]]:
-    """Yield ``(last value, usage)`` for every word of :func:`_pattern_walk`,
-    ``usage`` now counting all ``largest`` values.
+) -> int:
+    """Count the words of :func:`_pattern_walk` whose last value has its bit
+    set in ``last_ok`` and that hold every value whose bit is set in ``need``.
 
-    The last two positions are looped over here, one word at a time, within
-    what the walk has charged.  A word of one value is only a last range,
-    range(1, len(caps) + 1), charged here in full.
+    Each second-to-last value ``a`` is placed in a loop, and its last range
+    is counted at once, a bit count of its values below their caps and in
+    ``last_ok``: all of them when the word already holds every value of
+    ``need``, only the missing one when exactly one is missing, none
+    otherwise.  So a ``need`` of more values than ``largest`` counts
+    nothing, but the walk still runs, and may refuse.  A word of one value
+    is only a last range, range(1, len(caps) + 1), charged here in full.
     """
     cap = (0, *caps)
     top = len(cap)
@@ -227,25 +234,21 @@ def _pattern_words(
     if length == 1:
         if top - 1 > budget.max_work:
             raise budget.refusal(_WALK_WORK)
-        usage = [0] * top
-        for last in range(1, top):
-            if cap[last]:
-                usage[last] = 1
-                yield last, usage
-                usage[last] = 0
-        return
+        free = ((1 << top) - 2) & ~sum(1 << v for v in range(1, top) if not cap[v])
+        return 0 if need & (need - 1) else (free & last_ok & (need or -1)).bit_count()
     fall = length - 1 in descents  # the word drops before its last value
-    for lo, hi, _, usage in _pattern_walk(descents, caps, budget):
-        for value in range(lo, hi):
-            if usage[value] == cap[value]:
-                continue
-            usage[value] += 1
-            for last in range(1, value) if fall else range(value, top):
-                if usage[last] < cap[last]:
-                    usage[last] += 1
-                    yield last, usage
-                    usage[last] -= 1
-            usage[value] -= 1
+    total = 0
+    for lo, hi, capped, usage in _pattern_walk(descents, caps, budget):
+        missing = need and need & ~sum(1 << v for v in range(1, top) if usage[v])
+        for a in range(lo, hi):
+            bit = 1 << a
+            left = missing & ~bit
+            if capped & bit or left & (left - 1):
+                continue  # a is at its cap, or two values are still missing
+            full = capped | bit if usage[a] + 1 == cap[a] else capped
+            last = bit - 2 if fall else (1 << top) - bit
+            total += (last & ~full & last_ok & (left or -1)).bit_count()
+    return total
 
 
 def count_prefix(
@@ -280,7 +283,7 @@ def count_prefix(
     budget = budget or DEFAULT_BUDGET
     caps = (m,) * n
     if length == 1:
-        return sum(last > 1 for last, _ in _pattern_words(descents, caps, budget))
+        return _count_words(descents, caps, -3, budget=budget)  # every last value but 1
     top = n + 1
     fill = m - 1  # a value used this often reaches its cap when placed
     fall = length - 1 in descents
@@ -318,14 +321,13 @@ def count_content(parts: Sequence[int], descents: DescentSet) -> int:
     if sum(parts) != descents.largest:
         raise DomainError(f"content sums to {sum(parts)}, expected {descents.largest}")
     # Caps that add up to the length are met exactly by every word.
-    return sum(1 for _ in _pattern_words(descents, parts))
+    return _count_words(descents, parts)
 
 
-def _free_words(
-    descents: DescentSet, i: int, skip_one: bool = False
-) -> Iterator[tuple[int, list[int]]]:
-    """The witness counters' words for index ``i``: length ``largest`` over
-    1..i+1, each value free to repeat, value 1 left out when ``skip_one``.
+def _free_caps(descents: DescentSet, i: int, skip_one: bool = False) -> tuple[int, ...]:
+    """The witness counters' caps for index ``i``: words of length
+    ``largest`` over 1..i+1, each value free to repeat, value 1 left out
+    when ``skip_one``.
 
     The walk charges every free value at least once (placed at position 1,
     offered in the first range, or counted in the one last range), so more
@@ -335,7 +337,7 @@ def _free_words(
     free = descents.largest
     if (i if skip_one else i + 1) > DEFAULT_BUDGET.max_work:
         raise DEFAULT_BUDGET.refusal(_WALK_WORK)
-    return _pattern_words(descents, (0 if skip_one else free,) + (free,) * i)
+    return (0 if skip_one else free,) + (free,) * i
 
 
 def count_last_fixed(descents: DescentSet, n: int, j: int) -> int:
@@ -347,7 +349,7 @@ def count_last_fixed(descents: DescentSet, n: int, j: int) -> int:
     require_positive(n=n, j=j)
     if j > n:
         raise DomainError(f"last value {j} outside 1..{n}")
-    return sum(1 for last, _ in _free_words(descents, n - 1) if last == j)
+    return _count_words(descents, _free_caps(descents, n - 1), 1 << j)
 
 
 def count_coeff_witnesses(descents: DescentSet, i: int) -> int:
@@ -357,11 +359,10 @@ def count_coeff_witnesses(descents: DescentSet, i: int) -> int:
     without its largest element, values within 1..i+1, every value of
     2..i+1 present (1 itself is optional), and last value different from 1.
     A word holds at most ``largest`` distinct values, so for larger ``i`` the
-    walk still runs, and may refuse, but no word passes the test.
+    walk still runs, and may refuse, but no word is counted.
     """
-    words = _free_words(descents, i)
-    fits = i <= descents.largest
-    return sum(1 for last, usage in words if fits and last != 1 and all(usage[2:]))
+    caps = _free_caps(descents, i)
+    return _count_words(descents, caps, -3, (1 << i + 2) - 4)
 
 
 def count_onto_upper(descents: DescentSet, i: int) -> int:
@@ -369,16 +370,14 @@ def count_onto_upper(descents: DescentSet, i: int) -> int:
 
     For i = 0 the value set is empty and no word of positive length exists,
     so the count is 0 by convention.  As in :func:`count_coeff_witnesses`,
-    no word passes for ``i`` above ``largest``.
+    no word is counted for ``i`` above ``largest``.
     """
-    words = _free_words(descents, i, True)
-    fits = i <= descents.largest
-    return sum(1 for _, usage in words if fits and all(usage[2:]))
+    caps = _free_caps(descents, i, True)
+    return _count_words(descents, caps, need=(1 << i + 2) - 4)
 
 
 def count_onto_full(descents: DescentSet, i: int) -> int:
     """Witness words using all of {1, ..., i+1} with last value not 1; no
-    word passes for ``i + 1`` above ``largest``."""
-    words = _free_words(descents, i)
-    fits = i + 1 <= descents.largest
-    return sum(1 for last, usage in words if fits and last != 1 and all(usage[1:]))
+    word is counted for ``i + 1`` above ``largest``."""
+    caps = _free_caps(descents, i)
+    return _count_words(descents, caps, -3, (1 << i + 2) - 2)
