@@ -19,13 +19,12 @@ n, m = 3, 3
 
 shape = ribbon_shape(ds, n, m)
 print(f"descent set {ds}, n={n}, m={m}")
-print(f"outer shape {shape.outer.parts}, inner shape {shape.inner.parts}")
+print(f"outer shape {shape.outer}, inner shape {shape.inner}")
 print(f"{shape.cell_count} cells in {shape.row_count} rows, "
       f"row lengths {shape.row_lengths}")
 
 # draw it: each row starts where the previous one ends, offset by one column
-inner = shape.inner.padded(shape.row_count)
-for outer_len, inner_len in zip(shape.outer.parts, inner):
+for outer_len, inner_len in zip(shape.outer, shape.inner):
     print("  " + ". " * inner_len + "# " * (outer_len - inner_len))
 
 print("\ndeterminant expansion (sign, degrees of the factors):")

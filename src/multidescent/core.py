@@ -1,5 +1,7 @@
-"""Descent sets, compositions, and block-sum machinery shared by every route.
+"""Descent sets, argument checks and the errors shared by every route.
 
+Compositions and block sums live here too, though no route uses them: only
+``formulas.signed_coarsenings`` (so demo 04), the tests and the bench do.
 The objects here are deliberately small.  A descent set is a strictly
 increasing tuple of positive positions, a composition is a plain tuple of
 positive integers, and a word is any sequence of integers.  Positions are

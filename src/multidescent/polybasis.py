@@ -51,9 +51,12 @@ class BinomialBasisPoly:
 
     def evaluate(self, n: int) -> int:
         strict_ints((n,), "n")
-        return sum(
-            c * binom_poly(n + self.offset, i) for i, c in enumerate(self.coeffs)
-        )
+        x, total, term = n + self.offset, 0, 1
+        for i, c in enumerate(self.coeffs):
+            total += c * term
+            # binom(x, i) * (x - i) = (i + 1) * binom(x, i + 1) for every int x
+            term = term * (x - i) // (i + 1)
+        return total
 
 
 def extract_coeffs(descents: DescentSet, offset: int) -> BinomialBasisPoly:

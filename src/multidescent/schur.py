@@ -15,6 +15,7 @@ enters only through binomials; ``jacobi_trudi_terms`` lists the terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from typing import Iterator, Sequence
 
@@ -24,62 +25,38 @@ from .oracle import DEFAULT_BUDGET, EnumerationBudget
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing nonnegative ``int`` parts; trailing zeros are trimmed."""
-
-    parts: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        cleaned = strict_ints(self.parts, "partition parts", 0)
-        while cleaned and cleaned[-1] == 0:
-            cleaned = cleaned[:-1]
-        if any(cleaned[i] < cleaned[i + 1] for i in range(len(cleaned) - 1)):
-            raise DomainError("partition parts must be weakly decreasing")
-        object.__setattr__(self, "parts", cleaned)
-
-    def padded(self, rows: int) -> tuple[int, ...]:
-        """The parts, zero-extended on the right to ``rows`` entries."""
-        return self.parts + (0,) * (rows - len(self.parts))
-
-
-@dataclass(frozen=True)
 class RibbonShape:
-    """A border strip: a skew shape whose consecutive rows overlap in
-    exactly one column, so it is connected and contains no 2x2 block."""
+    """A border strip, given by its row lengths top to bottom: consecutive
+    rows overlap in exactly one column, so any tuple of positive lengths is
+    one connected skew shape with no 2x2 block."""
 
-    outer: Partition
-    inner: Partition
+    row_lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        lam = self.outer.parts
-        if not lam:
+        rows = strict_ints(self.row_lengths, "ribbon row lengths", 1)
+        if not rows:
             raise DomainError("a ribbon needs at least one row")
-        k = len(lam)
-        if len(self.inner.parts) >= k:
-            raise DomainError("the inner shape must leave the last row open")
-        mu = self.inner.padded(k)
-        for i in range(k):
-            if mu[i] > lam[i]:
-                raise DomainError("inner shape pokes outside the outer one")
-            if lam[i] - mu[i] < 1:
-                raise DomainError("every ribbon row must hold at least one cell")
-        for i in range(k - 1):
-            if mu[i] != lam[i + 1] - 1:
-                raise DomainError("consecutive rows must overlap in exactly one column")
+        object.__setattr__(self, "row_lengths", rows)
 
     @property
     def row_count(self) -> int:
-        return len(self.outer.parts)
-
-    @property
-    def row_lengths(self) -> tuple[int, ...]:
-        """Cells per row, top to bottom."""
-        mu = self.inner.padded(self.row_count)
-        return tuple(a - b for a, b in zip(self.outer.parts, mu))
+        return len(self.row_lengths)
 
     @property
     def cell_count(self) -> int:
         return sum(self.row_lengths)
+
+    @property
+    def outer(self) -> tuple[int, ...]:
+        """The outer partition: each row starts in the last column of the
+        row below it, so outer_i = row_i + outer_{i+1} - 1."""
+        rows = self.row_lengths[::-1]
+        return tuple(accumulate(rows, lambda part, r: part + r - 1))[::-1]
+
+    @property
+    def inner(self) -> tuple[int, ...]:
+        """The inner partition, one entry per row (the last one is 0)."""
+        return (*(part - 1 for part in self.outer[1:]), 0)
 
 
 def ribbon_shape(descents: DescentSet, n: int, m: int) -> RibbonShape:
@@ -96,14 +73,7 @@ def ribbon_shape(descents: DescentSet, n: int, m: int) -> RibbonShape:
         raise DomainError(
             f"need n*m > {descents.largest} for a non-empty top row; got n*m = {cells}"
         )
-    rows = (head, *reversed(descents.first_differences))
-    k = len(rows)
-    lam = [0] * k
-    lam[-1] = rows[-1]
-    for i in range(k - 2, -1, -1):
-        lam[i] = rows[i] + lam[i + 1] - 1
-    mu = [lam[i + 1] - 1 for i in range(k - 1)]
-    return RibbonShape(Partition(tuple(lam)), Partition(tuple(mu)))
+    return RibbonShape((head, *reversed(descents.first_differences)))
 
 
 def jacobi_trudi_terms(shape: RibbonShape) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -182,9 +152,14 @@ def _place(
                 continue
             if room[c + 1] >= left:
                 stack.append((c + 1, 1, classes[c + 1][1], left, ways, done + kept))
-            for t in range(low, min(m - u, left) + 1):
+            # k columns at +t leave room for the rest iff k * (span - t) <= slack,
+            # so no t below span - slack places anything
+            span = m - u
+            slack = free * span + room[c + 1] - left
+            least = span - slack
+            for t in range(least if least > low else low, min(span, left) + 1):
                 for k in range(1, min(free, left // t) + 1):
-                    if left - k * t > (free - k) * (m - u) + room[c + 1]:
+                    if k * (span - t) > slack:
                         break  # k columns stuck at +t leave too little room
                     stack.append((c, t + 1, free - k, left - k * t,
                                   ways * comb(free, k), done + (u + t,) * k))

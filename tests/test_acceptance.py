@@ -113,14 +113,13 @@ def test_criterion_9_ribbon_shape():
     start = time.perf_counter()
     shape = schur.ribbon_shape(DescentSet((4, 8, 9)), 5, 3)
     violations = []
-    if shape.outer.parts != (12, 7, 7, 4):
-        violations.append(f"outer shape {shape.outer.parts}")
-    if shape.inner.padded(4) != (6, 6, 3, 0):
-        violations.append(f"inner shape {shape.inner.padded(4)}")
+    if shape.outer != (12, 7, 7, 4):
+        violations.append(f"outer shape {shape.outer}")
+    if shape.inner != (6, 6, 3, 0):
+        violations.append(f"inner shape {shape.inner}")
     if shape.cell_count != 15:
         violations.append(f"cell count {shape.cell_count}")
-    outer = shape.outer.parts
-    inner = shape.inner.padded(len(outer))
+    outer, inner = shape.outer, shape.inner
     for i in range(len(outer) - 1):
         # a 2x2 block exists exactly when a lower row reaches two columns
         # into the overlap with the row above

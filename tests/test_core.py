@@ -166,7 +166,7 @@ BELOW_THE_FLOOR = {
     "count_content": lambda: oracle.count_content((0, 2), TWO),
     "count_coeff_witnesses": lambda: oracle.count_coeff_witnesses(TWO, -1),
     "coefficient": lambda: POLY.coefficient(-1),
-    "Partition": lambda: schur.Partition((-1,)),
+    "RibbonShape": lambda: schur.RibbonShape((0, 2)),
     "rect_coeff": lambda: schur.rect_coeff((-1, 3), 1, 2),
     "block_sums": lambda: block_sums((1, 2), (0, 2)),
     "EnumerationBudget": lambda: oracle.EnumerationBudget(0),

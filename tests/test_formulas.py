@@ -1,6 +1,6 @@
 """Closed forms and the recurrence against enumerative ground truth."""
 
-from itertools import combinations, product
+from itertools import product
 from math import comb, factorial, prod
 
 import pytest
@@ -26,13 +26,7 @@ from multidescent.oracle import (
     count_prefix,
 )
 from multidescent.schur import count_via_jacobi_trudi
-
-
-def _sets_within(top):
-    out = []
-    for size in range(1, top + 1):
-        out.extend(DescentSet(c) for c in combinations(range(1, top + 1), size))
-    return out
+from multidescent.verify import descent_sets_up_to
 
 
 def coarsening_sum(ds, n, last):
@@ -133,7 +127,7 @@ def test_bounded_sequence_count_frozen_values():
 
 
 def test_bounded_sequence_count_matches_direct_enumeration():
-    for ds in _sets_within(4):
+    for ds in descent_sets_up_to(4):
         for n in range(1, 5):
             for m in range(1, 4):
                 assert bounded_sequence_count(ds, n, m) == bounded_words_direct(
@@ -143,7 +137,7 @@ def test_bounded_sequence_count_matches_direct_enumeration():
 
 def test_bounded_count_splits_into_adjacent_descent_counts():
     # the final compared position either drops or does not
-    for ds in _sets_within(4):
+    for ds in descent_sets_up_to(4):
         for n in range(ds.largest, ds.largest + 3):
             for m in range(1, 4):
                 lhs = bounded_sequence_count(ds, n, m)
@@ -164,7 +158,7 @@ def content_split(ds, n, m):
 
 
 def test_bounded_sequence_count_matches_the_content_split():
-    for ds in _sets_within(6):
+    for ds in descent_sets_up_to(6):
         for n in range(1, 6):
             for m in range(1, 5):
                 assert bounded_sequence_count(ds, n, m) == content_split(
@@ -238,7 +232,7 @@ def test_descent_count_strict_word():
 
 
 def test_descent_count_matches_enumeration_on_a_small_grid():
-    for ds in _sets_within(3):
+    for ds in descent_sets_up_to(3):
         for n in range(1, 4):
             for m in range(1, 4):
                 if n * m > 9:
@@ -267,7 +261,7 @@ def test_last_fixed_formula_frozen_values():
 
 
 def test_last_fixed_formula_matches_enumeration():
-    for ds in _sets_within(3):
+    for ds in descent_sets_up_to(3):
         for n in range(ds.largest, ds.largest + 4):
             for j in range(1, n + 1):
                 assert last_fixed_formula(ds, n, j) == count_last_fixed(
@@ -295,21 +289,21 @@ def test_stable_descent_count_single_descent_family():
 
 
 def test_stable_descent_count_is_the_plateau_value():
-    for ds in _sets_within(4):
+    for ds in descent_sets_up_to(4):
         point = stabilization_point(ds)
         for n in range(ds.largest, ds.largest + 3):
             assert stable_descent_count(ds, n) == count_prefix(ds, n, point), (ds, n)
 
 
 def test_stable_descent_count_sums_the_last_value_formula():
-    for ds in _sets_within(4):
+    for ds in descent_sets_up_to(4):
         for n in range(ds.largest, ds.largest + 3):
             total = sum(last_fixed_formula(ds, n, j) for j in range(2, n + 1))
             assert stable_descent_count(ds, n) == total, (ds, n)
 
 
 def test_closed_forms_match_the_coarsening_expansion_exhaustively():
-    for ds in _sets_within(8):
+    for ds in descent_sets_up_to(8):
         for n in range(-4, 13):
             assert stable_descent_count(ds, n) == stable_by_coarsenings(ds, n), (ds, n)
         for n in range(1, 13):
@@ -341,7 +335,7 @@ def test_stable_descent_count_evaluates_at_any_integer():
 
 
 def test_fixed_multiplicity_count_is_polynomial_in_the_alphabet():
-    for ds in _sets_within(3):
+    for ds in descent_sets_up_to(3):
         d = ds.largest
         for m in range(1, 4):
             level = [descent_count(ds, n, m) for n in range(d, 2 * d + 3)]

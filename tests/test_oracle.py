@@ -32,6 +32,7 @@ from multidescent.oracle import (
     _pattern_walk,
     _count_words,
 )
+from multidescent.verify import descent_sets_up_to
 
 
 def multiset_words(n, m):
@@ -58,7 +59,7 @@ def test_count_naive_matches_reference_enumeration():
     for n, m in ((2, 2), (3, 2), (2, 3)):
         words = multiset_words(n, m)
         assert len(words) > 0
-        for ds in _sets_within(4):
+        for ds in descent_sets_up_to(4):
             expected = sum(1 for w in words if descent_set(w) == ds)
             assert count_naive(ds, n, m) == expected
 
@@ -194,28 +195,19 @@ def test_count_prefix_refusal_thresholds_are_pinned(elements, n, m, least_work):
         count_prefix(ds, n, m, EnumerationBudget(least_work - 1))
 
 
-def _sets_within(top):
-    from itertools import combinations
-
-    out = []
-    for size in range(1, top + 1):
-        out.extend(DescentSet(c) for c in combinations(range(1, top + 1), size))
-    return out
-
-
 def test_count_prefix_agrees_with_count_naive_on_a_small_grid():
     # every (n, m) with n <= 5, m <= 4 and n*m <= 10: about 120,000 words,
     # each set's naive count read off one histogram per (n, m)
     for n in range(1, 6):
         for m in range(1, min(4, 10 // n) + 1):
             histogram = descent_histogram(n, m)
-            for ds in _sets_within(6):
+            for ds in descent_sets_up_to(6):
                 expected = histogram.get(ds, 0)
                 assert count_prefix(ds, n, m) == expected, (ds, n, m)
 
 
 def test_count_prefix_weakly_increases_with_multiplicity():
-    for ds in _sets_within(3):
+    for ds in descent_sets_up_to(3):
         for n in range(ds.largest + 1, ds.largest + 4):
             values = [count_prefix(ds, n, m) for m in range(1, ds.largest + 3)]
             assert values == sorted(values), (ds, n, values)
@@ -294,7 +286,7 @@ def test_witness_counters_take_only_int_indices(counter, index):
 
 
 def test_witnesses_split_by_presence_of_one():
-    for ds in _sets_within(4):
+    for ds in descent_sets_up_to(4):
         for i in range(ds.largest + 2):
             assert count_coeff_witnesses(ds, i) == count_onto_upper(
                 ds, i
@@ -302,7 +294,7 @@ def test_witnesses_split_by_presence_of_one():
 
 
 def test_onto_upper_recursion_through_the_shorter_set():
-    for ds in _sets_within(4):
+    for ds in descent_sets_up_to(4):
         if len(ds) < 2:
             continue
         for i in range(ds.largest + 1):
@@ -312,12 +304,12 @@ def test_onto_upper_recursion_through_the_shorter_set():
 
 
 def test_onto_upper_vanishes_past_the_word_length():
-    for ds in _sets_within(3):
+    for ds in descent_sets_up_to(3):
         assert count_onto_upper(ds, ds.largest + 1) == 0
 
 
 def test_last_fixed_sums_to_the_stabilized_count():
-    for ds in _sets_within(4):
+    for ds in descent_sets_up_to(4):
         point = stabilization_point(ds)
         for n in range(ds.largest, ds.largest + 3):
             total = sum(count_last_fixed(ds, n, j) for j in range(2, n + 1))
@@ -336,7 +328,7 @@ def _pattern_reference(ds, values):
 def test_walk_counters_match_a_product_reference():
     # every set within {1..4}, and longer sets whose last step drops
     longer = [DescentSet(e) for e in ((4, 5), (2, 4, 5), (1, 3, 4, 5))]
-    for ds in _sets_within(4) + longer:
+    for ds in descent_sets_up_to(4) + longer:
         d = ds.largest
         for r in range(1, d + 1):
             for parts in product(range(1, d + 1), repeat=r):
@@ -370,7 +362,7 @@ def test_walk_counters_match_a_product_reference():
 def test_count_words_counts_every_word():
     # the last two positions are counted outside the walk; every capped word
     # must still count once for each last value and needed set it meets
-    for ds in _sets_within(5):
+    for ds in descent_sets_up_to(5):
         for caps in ((1, 2, 1), (0, 2, 3), (2, 0, 1, 2), (ds.largest,) * 3):
             values = range(1, len(caps) + 1)
             words = Counter(
@@ -396,7 +388,7 @@ def test_count_prefix_matches_a_product_reference():
             if all(w.count(v) == m for v in range(1, n + 1)):
                 key = descent_set(w)
                 tally[key] = tally.get(key, 0) + 1
-        for ds in _sets_within(4):
+        for ds in descent_sets_up_to(4):
             assert count_prefix(ds, n, m) == tally.get(ds, 0), (ds, n, m)
 
 

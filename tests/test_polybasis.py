@@ -1,20 +1,14 @@
 """Binomial-base coefficients: extraction, shifting, and the sign laws."""
 
-from itertools import combinations
+import time
 
 import pytest
 
 from multidescent.core import DescentSet, DomainError
-from multidescent.formulas import stable_descent_count
+from multidescent.formulas import binom_poly, stable_descent_count
 from multidescent.oracle import count_coeff_witnesses
 from multidescent.polybasis import BinomialBasisPoly, extract_coeffs, shift_basis
-
-
-def _sets_within(top):
-    out = []
-    for size in range(1, top + 1):
-        out.extend(DescentSet(c) for c in combinations(range(1, top + 1), size))
-    return out
+from multidescent.verify import descent_sets_up_to
 
 
 def test_poly_trims_trailing_zero_coefficients():
@@ -39,6 +33,19 @@ def test_poly_evaluate():
     assert [poly.evaluate(n) for n in range(1, 6)] == [0, 2, 5, 9, 14]
 
 
+def test_poly_evaluate_steps_the_binomial_along_the_sum():
+    # evaluate once called binom_poly per coefficient, so the re-check in
+    # extract_coeffs made O(d^2) comb calls, each of size up to d
+    start = time.process_time()
+    poly = extract_coeffs(DescentSet((600,)), -1)
+    assert time.process_time() - start < 3
+    assert poly.degree == 600
+    # the stabilized single-descent count is binom(n + a - 1, a) - 1, and
+    # every n <= 0 puts the base binom(n - 1, i) at a negative point
+    for n in (-1500, -601, -600, -599, -1, 0, 1, 2, 700):
+        assert poly.evaluate(n) == binom_poly(n + 599, 600) - 1, n
+
+
 def test_extract_coeffs_frozen_values():
     assert extract_coeffs(DescentSet((2,)), -1).coeffs == (0, 2, 1)
     assert extract_coeffs(DescentSet((2,)), 0).coeffs == (-1, 1, 1)
@@ -55,7 +62,7 @@ def test_extract_coeffs_needs_a_non_empty_set():
 
 
 def test_extracted_polys_reproduce_the_stabilized_count():
-    for ds in _sets_within(4):
+    for ds in descent_sets_up_to(4):
         for k in (-2, -1, 0, 1):
             poly = extract_coeffs(ds, k)
             for n in range(-2, ds.largest + 5):
@@ -63,14 +70,14 @@ def test_extracted_polys_reproduce_the_stabilized_count():
 
 
 def test_extracted_degree_and_leading_coefficient():
-    for ds in _sets_within(4):
+    for ds in descent_sets_up_to(4):
         poly = extract_coeffs(ds, -1)
         assert poly.degree == ds.largest
         assert poly.coefficient(ds.largest) >= 1
 
 
 def test_offset_minus_one_coefficients_count_witness_words():
-    for ds in _sets_within(4):
+    for ds in descent_sets_up_to(4):
         poly = extract_coeffs(ds, -1)
         for i in range(ds.largest + 1):
             assert poly.coefficient(i) == count_coeff_witnesses(ds, i), (ds, i)
@@ -93,7 +100,7 @@ def test_shift_basis_known_step():
 
 
 def test_shift_basis_round_trips_exactly():
-    for ds in _sets_within(4):
+    for ds in descent_sets_up_to(4):
         base = extract_coeffs(ds, -1)
         for k in range(-3, 4):
             shifted = shift_basis(base, k)
@@ -110,7 +117,7 @@ def test_shift_basis_to_a_huge_offset_and_back():
 
 
 def test_shift_basis_agrees_with_direct_extraction():
-    for ds in _sets_within(4):
+    for ds in descent_sets_up_to(4):
         base = extract_coeffs(ds, -1)
         for k in range(-3, 4):
             assert shift_basis(base, k).coeffs == extract_coeffs(ds, k).coeffs, (
@@ -128,7 +135,7 @@ def test_shift_preserves_evaluation():
 
 
 def test_window_positivity_and_support():
-    for ds in _sets_within(5):
+    for ds in descent_sets_up_to(5):
         poly = extract_coeffs(ds, -1)
         low = ds.longest_run
         for i in range(ds.largest + 1):

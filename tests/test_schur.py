@@ -1,5 +1,6 @@
 """Ribbon construction, determinant expansion, and monomial extraction."""
 
+import time
 from collections import Counter
 from itertools import combinations, permutations, product
 from math import comb
@@ -13,7 +14,6 @@ from multidescent.core import BudgetExceededError, DescentSet, DomainError
 from multidescent.formulas import descent_count
 from multidescent.oracle import EnumerationBudget, count_naive, count_prefix
 from multidescent.schur import (
-    Partition,
     RibbonShape,
     count_via_jacobi_trudi,
     jacobi_trudi_terms,
@@ -42,9 +42,8 @@ def permutation_terms(shape):
     det[h(outer_i - inner_j - i + j)] over every permutation, dropping terms
     with a negative degree and degree-zero factors, and total the signs per
     sorted degree multiset."""
-    lam = shape.outer.parts
+    lam, mu = shape.outer, shape.inner
     k = len(lam)
-    mu = shape.inner.padded(k)
     totals = Counter()
     for perm in permutations(range(k)):
         degrees = [lam[i] - mu[perm[i]] - i + perm[i] for i in range(k)]
@@ -55,29 +54,10 @@ def permutation_terms(shape):
     return {key: value for key, value in totals.items() if value}
 
 
-def test_partition_trims_trailing_zeros():
-    assert Partition((5, 2, 0, 0)).parts == (5, 2)
-    assert Partition(()).parts == ()
-    assert Partition((3,)).padded(3) == (3, 0, 0)
-
-
-def test_partition_rejects_bad_parts():
-    with pytest.raises(DomainError):
-        Partition((2, 3))
-    with pytest.raises(DomainError):
-        Partition((3, -1))
-
-
-@pytest.mark.parametrize("parts", [(2.9, 1.2), (True,), (3, "1")])
-def test_partition_rejects_non_int_parts(parts):
-    with pytest.raises(DomainError):
-        Partition(parts)
-
-
 def test_ribbon_shape_three_descents():
     shape = ribbon_shape(DescentSet((4, 8, 9)), 5, 3)
-    assert shape.outer.parts == (12, 7, 7, 4)
-    assert shape.inner.padded(4) == (6, 6, 3, 0)
+    assert shape.outer == (12, 7, 7, 4)
+    assert shape.inner == (6, 6, 3, 0)
     assert shape.cell_count == 15
     assert shape.row_count == 4
     assert shape.row_lengths == (6, 1, 4, 4)
@@ -85,15 +65,15 @@ def test_ribbon_shape_three_descents():
 
 def test_ribbon_shape_single_descent():
     shape = ribbon_shape(DescentSet((2,)), 3, 2)
-    assert shape.outer.parts == (5, 2)
-    assert shape.inner.padded(2) == (1, 0)
+    assert shape.outer == (5, 2)
+    assert shape.inner == (1, 0)
     assert shape.row_lengths == (4, 2)
 
 
 def test_ribbon_shape_smallest_case_is_a_vertical_domino():
     shape = ribbon_shape(DescentSet((1,)), 1, 2)
-    assert shape.outer.parts == (1, 1)
-    assert shape.inner.parts == ()
+    assert shape.outer == (1, 1)
+    assert shape.inner == (0, 0)
     assert shape.cell_count == 2
     assert shape.row_lengths == (1, 1)
 
@@ -125,34 +105,39 @@ def test_ribbon_shape_structural_laws(elements, n, m):
     assert shape.cell_count == n * m
     assert shape.row_lengths[0] == n * m - ds.largest
     assert shape.row_lengths[1:] == tuple(reversed(ds.first_differences))
-    lam = shape.outer.parts
-    mu = shape.inner.padded(k)
+    lam, mu = shape.outer, shape.inner
+    assert len(lam) == len(mu) == k and mu[-1] == 0
+    assert all(lam[i] - mu[i] == shape.row_lengths[i] for i in range(k))
     # one-column overlaps force connectivity and forbid any 2x2 block
     for i in range(k - 1):
         assert mu[i] == lam[i + 1] - 1
 
 
 def test_ribbon_shape_rejects_broken_overlaps_directly():
-    with pytest.raises(DomainError):
-        RibbonShape(Partition((4, 2)), Partition((2,)))
-    with pytest.raises(DomainError):
-        RibbonShape(Partition((4, 2)), Partition((4,)))
+    # consecutive rows always share one column, so only a row with no cell
+    # (or no row at all) could break the strip apart
+    for rows in [(4, 0), (2, -1, 3), ()]:
+        with pytest.raises(DomainError):
+            RibbonShape(rows)
+    for rows in [(2.0, 1), (True,), (3, "1")]:
+        with pytest.raises(DomainError, match="must be integers"):
+            RibbonShape(rows)
 
 
 def test_jacobi_trudi_terms_two_rows():
-    shape = RibbonShape(Partition((5, 2)), Partition((1,)))
+    shape = RibbonShape((4, 2))
     terms = sorted(jacobi_trudi_terms(shape))
     assert terms == [(-1, (6,)), (1, (4, 2))]
 
 
 def test_jacobi_trudi_terms_vertical_domino():
-    shape = RibbonShape(Partition((1, 1)), Partition(()))
+    shape = RibbonShape((1, 1))
     terms = sorted(jacobi_trudi_terms(shape))
     assert terms == [(-1, (2,)), (1, (1, 1))]
 
 
 def test_jacobi_trudi_degree_zero_factors_are_dropped():
-    shape = RibbonShape(Partition((2, 1)), Partition(()))
+    shape = RibbonShape((2, 1))
     terms = {degrees: sign for sign, degrees in jacobi_trudi_terms(shape)}
     assert terms == {(2, 1): 1, (3,): -1}
 
@@ -306,6 +291,21 @@ def test_count_via_jacobi_trudi_stops_inside_one_state(monkeypatch):
     with pytest.raises(BudgetExceededError, match="max_work = 1000"):
         count_via_jacobi_trudi(DescentSet((60,)), 60, 60, EnumerationBudget(1000))
     assert len(calls) < 100_000
+
+
+def test_count_via_jacobi_trudi_skips_increments_that_cannot_fit():
+    # two columns of cap 10001 share 10^4 units: an increment that leaves the
+    # other column more than it can take places nothing, and the placement
+    # loop once scanned every such increment of every frame, O(10^8) steps.
+    # The 10^4 words are fixed by the number of 1s before the descent.
+    ds = DescentSet((10_000,))
+    start = time.process_time()
+    assert count_via_jacobi_trudi(ds, 2, 10_001) == 10_000
+    assert time.process_time() - start < 2
+    # one placement per fill multiset: {10^4} and {j, 10^4 - j}, j <= 5000
+    assert count_via_jacobi_trudi(ds, 2, 10_001, EnumerationBudget(5001)) == 10_000
+    with pytest.raises(BudgetExceededError, match="max_work = 5000"):
+        count_via_jacobi_trudi(ds, 2, 10_001, EnumerationBudget(5000))
 
 
 def test_rect_coeff_charges_the_default_budget(monkeypatch):
