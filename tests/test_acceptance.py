@@ -126,6 +126,23 @@ def test_criterion_9_ribbon_shape():
         if inner[i] != outer[i + 1] - 1:
             violations.append(f"rows {i} and {i + 1} overlap in "
                               f"{outer[i + 1] - inner[i]} columns")
+    # inner is derived from outer, so the overlap test above restates that
+    # derivation; the cells themselves must be 15, connected, and hold no
+    # 2x2 block
+    cells = {(r, c) for r in range(len(outer)) for c in range(inner[r], outer[r])}
+    if len(cells) != 15:
+        violations.append(f"{len(cells)} cells between outer and inner")
+    for r, c in cells:
+        if {(r, c + 1), (r + 1, c), (r + 1, c + 1)} <= cells:
+            violations.append(f"2x2 block at row {r}, column {c}")
+    reached, stack = set(), [min(cells)]
+    while stack:
+        r, c = stack.pop()
+        if (r, c) not in reached:
+            reached.add((r, c))
+            stack += {(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)} & cells
+    if reached != cells:
+        violations.append(f"{len(cells - reached)} cells cut off from row 0")
     _report_criterion(
         9, "ribbon for descents {4,8,9} at n=5, m=3 has the frozen shape",
         violations, time.perf_counter() - start,

@@ -111,6 +111,19 @@ def test_ribbon_shape_structural_laws(elements, n, m):
     # one-column overlaps force connectivity and forbid any 2x2 block
     for i in range(k - 1):
         assert mu[i] == lam[i + 1] - 1
+    # the overlaps restate how inner is derived from outer, so check the
+    # cells of outer/inner themselves: n*m of them, one edge-connected
+    # piece, and no 2x2 block
+    cells = {(r, c) for r in range(k) for c in range(mu[r], lam[r])}
+    assert len(cells) == n * m
+    assert not any({(r, c + 1), (r + 1, c), (r + 1, c + 1)} <= cells for r, c in cells)
+    reached, stack = set(), [min(cells)]
+    while stack:
+        r, c = stack.pop()
+        if (r, c) not in reached:
+            reached.add((r, c))
+            stack += {(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)} & cells
+    assert reached == cells
 
 
 def test_ribbon_shape_rejects_broken_overlaps_directly():

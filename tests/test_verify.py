@@ -55,7 +55,7 @@ def test_agreement_report_checks_the_bench_grid_in_its_recorded_order():
 
 def test_agreement_report_default_grid_is_wider_than_the_bench_grid():
     report = verify.agreement_report()
-    assert len(report.checks) == 2115
+    assert len(report.checks) == 2461
     assert report.passed
 
 
