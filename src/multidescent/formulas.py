@@ -66,7 +66,8 @@ def bounded_sequence_count(
     reached after r values adds its ways times binom(n, r).  There are at
     most 2**largest states; T is built on an explicit stack in increasing
     position order from the feasible positions only, and the budget's
-    ``max_work`` caps the (state, T) transitions of one call.
+    ``max_work`` caps the (state, T) transitions of one call, each charged
+    the 64-bit words of its masks, 1 + ``largest`` // 64.
     Valid for every n, m >= 1.
     """
     require_positive(n=n, m=m)
@@ -77,9 +78,12 @@ def _insert_values(
     descents: DescentSet, n: int, m: int, budget: EnumerationBudget, moves: int
 ) -> tuple[int, int]:
     """The DP of :func:`bounded_sequence_count`; return its count and
-    ``moves`` plus the transitions made, raising past the budget."""
+    ``moves`` plus the work of the transitions made, raising past the
+    budget.  A transition costs the 64-bit words of its masks,
+    1 + ``largest`` // 64."""
     limit = budget.max_work
     length = descents.largest
+    cost = 1 + length // 64
     full = (1 << (length + 1)) - 2  # bit q stands for position q
     drops = sum(1 << p for p in descents.elements[:-1])
     after_rise = (full & ~drops & ~(1 << length)) << 1  # q-1 to q may not drop
@@ -104,7 +108,7 @@ def _insert_values(
                 while options:
                     low = options & -options
                     options ^= low
-                    moves += 1
+                    moves += cost
                     if moves > limit:
                         raise budget.refusal("transitions of the insertion DP")
                     state = filled | chosen | low
@@ -128,7 +132,8 @@ def descent_count(
     at each level the bounded sequence count splits into the words where the
     final compared position does or does not drop.  When the largest element
     has no successor position the count is zero, and no level is computed.
-    The budget's ``max_work`` caps the DP transitions of all levels together.
+    The budget's ``max_work`` caps the DP transitions of all levels together,
+    each charged 1 + its level's ``largest`` // 64.
     """
     require_positive(n=n, m=m)
     if descents and descents.largest >= n * m:

@@ -6,19 +6,20 @@ obviously correct.  :func:`descent_histogram` tallies every word of one
 arrangement of the values left over, and those arrangements are listed
 once per left-over multiset, with their descent masks, so a word costs
 one counter increment, not one permutation step.  :func:`count_naive`
-reads one set off it.  Every other counter counts over one walker, ``_pattern_walk``,
-which lists words with a prescribed drop pattern and per-value caps on an
-explicit stack, without memoization, and stops two positions short.  It
-hands over the range of the second-to-last position with a bit mask of
-the values at their caps, and its caller places that value in a loop of
-its own and counts each last range at once with a bit count:
-``count_prefix`` in two tight loops of its own, and every other counter
-in one call of ``_count_words``, which also selects by the last value and
-by the values a word must hold.  The walk alone charges the budget, in
-one unit: 1 per value placed before the last position, and the size of
-each last range, each second-to-last range charged before its caller
-works through it.  The formula modules must match these on overlapping
-domains; tests and the verify suite enforce that.
+reads one set off it.  Every other counter counts over one walker,
+``_pattern_walk``, which lists words with a prescribed drop pattern and
+per-value caps on an explicit stack, without memoization, and stops two
+positions short.  It hands over the range of the second-to-last position
+with a bit mask of the values at their caps.  ``count_prefix`` counts each
+handover at once, as sums of ranks from bit counts of that mask; every
+other counter places the second-to-last value in the loop of one call of
+``_count_words``, which counts each last range with a bit count and also
+selects by the last value and by the values a word must hold.  The walk
+alone charges the budget, in one unit: 1 per value placed before the last
+position, and the size of each last range, each second-to-last range
+charged before its caller works through it.  The formula modules must
+match these on overlapping domains; tests and the verify suite enforce
+that.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class EnumerationBudget:
     counting route charges in its own unit: full enumeration its
     arrangements, a word walk the values it places or offers to the last
     position, the recurrence the (state, T) transitions of all its levels'
-    DPs, the Jacobi-Trudi chain its placements.  Passing it raises
+    DPs, each weighted by the 64-bit words of its masks (1 + ``largest`` //
+    64), the Jacobi-Trudi chain its placements.  Passing it raises
     ``BudgetExceededError`` naming ``max_work``."""
 
     max_work: int = 10_000_000
@@ -194,9 +196,13 @@ def _pattern_walk(
     reached on its own.  The walk charges 1 per value placed and, before
     it yields a range, 1 per value the caller may place there plus the
     size of that value's last range; more than the budget's ``max_work``
-    raises, before the caller does the work.
+    raises, before the caller does the work.  A word reaching the handover
+    costs at least ``largest - 1``, so a walk where that passes ``max_work``
+    is refused before it allocates, even when no word fits.
     """
     length = descents.largest
+    if length - 1 > budget.max_work:
+        raise budget.refusal(_WALK_WORK)
     falls = [False] * length  # falls[p]: the word drops after position p
     for p in descents.elements[:-1]:
         falls[p] = True
@@ -312,21 +318,22 @@ def count_prefix(
 
     A word is determined by its first ``largest`` values, the rest of the
     multiset sorted after them (the whole word for the empty set: count 1),
-    so the final descent holds exactly when the last prefix value exceeds
-    the smallest value not yet used up.  The last value can use up only
-    itself, so that smallest value may be read before it, as ``least``
-    after the second-to-last value: of the last values below their caps,
-    all count but ``least``.
+    so the final descent holds exactly when the last value exceeds the
+    smallest value still below its cap after it.  Only the prefixes are
+    walked, pruned by the forced comparisons, and the walk stops two
+    positions short; a prefix of one value is its last range, and all its
+    values count but 1.
 
-    Only the prefixes are walked, pruned by the forced comparisons, and the
-    walk stops two positions short.  Each second-to-last value ``a`` is one
-    iteration of a tight loop, and its last range, range(1, a) after a
-    drop or range(a, n + 1) after an ascent, is counted at once: its size,
-    less its values at their caps (a bit count of the walk's cap mask),
-    less 1 if ``least`` lies in it.  ``least`` moves only when ``a`` is
-    ``least`` and reaches its cap.  A prefix of one value is its last
-    range, and all its values count but 1.  The walk charges the budget
-    for the values placed or offered, before they are.
+    The rule: each second-to-last value ``a`` counts the free values (those
+    below their caps once ``a`` is placed) of its last range, range(1, a)
+    after a drop or range(a, n + 1) after an ascent, less the least free
+    value if it lies there.  Counted before ``a`` is placed, a free value's
+    rank is the number of free values below it, and the free values of one
+    handed-over range have consecutive ranks, so each handover is counted
+    at once as sums of ranks from bit counts of the walk's cap mask.  The
+    walk charges the budget for the values placed or offered, before they
+    are, and it would place or offer every value, so more than
+    ``max_work`` values are refused before any cap is built.
     """
     require_positive(n=n, m=m)
     if not descents:
@@ -335,30 +342,24 @@ def count_prefix(
     if length >= n * m:
         return 0  # no successor position left for the final descent
     budget = budget or DEFAULT_BUDGET
+    if n > budget.max_work:
+        raise budget.refusal(_WALK_WORK)
     caps = (m,) * n
     if length == 1:
         return _count_words(descents, caps, -3, budget=budget)  # every last value but 1
-    top = n + 1
-    fill = m - 1  # a value used this often reaches its cap when placed
+    alphabet = (1 << n + 1) - 2  # bits 1..n
     fall = length - 1 in descents
     total = 0
     for lo, hi, capped, usage in _pattern_walk(descents, caps, budget):
-        taken = capped | 1  # value 0 counts as used up
-        least = (taken ^ (taken + 1)).bit_length() - 1  # lowest clear bit
-        if fall:  # least < a lies in range(1, a) unless a is least
-            for a in range(lo, hi):
-                if capped >> a & 1:
-                    continue
-                total += a - 1 - (capped & ((1 << a) - 1)).bit_count() - (a != least)
-        else:  # least < a is outside range(a, top), and least >= a inside it
-            for a in range(lo, hi):
-                bit = 1 << a
-                if capped & bit:
-                    continue
-                full = capped | bit if usage[a] == fill else capped
-                # if a is least and reaches its cap, least moves up to the
-                # next free value, which n*m > largest keeps below top
-                total += top - a - (full >> a).bit_count() - (a == least)
+        free = alphabet & ~capped
+        span = free & ((1 << hi) - (1 << lo))
+        c = span.bit_count()
+        ranks = c * (free & ((1 << lo) - 1)).bit_count() + c * (c - 1) // 2
+        least = bool(free & -free & span)  # the least free value is some a
+        if fall:  # a's rank, less 1 unless a is least
+            total += ranks - c + least
+        else:  # the free values from a up, less a if it fills, less least
+            total += c * free.bit_count() - ranks - usage[lo:hi].count(m - 1) - least
     return total
 
 

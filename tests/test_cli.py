@@ -352,6 +352,25 @@ def test_count_prefix_ends_within_its_budget_at_a_descent_at_1100():
         assert "more than max_work = 10000000" in proc.stderr
 
 
+def test_count_skips_the_walks_at_a_huge_alphabet():
+    # the walks would place each of 10^12 values: both are refused before
+    # they allocate, and the recurrence and jacobi-trudi still answer
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "multidescent",
+            "count", "--set", "2", "--n", "1000000000000", "--m", "1",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    expected = str(comb(10**12, 2) - 1)
+    assert proc.stdout.split() == ["recurrence", expected, "jacobi-trudi", expected]
+    assert "naive: skipped" in proc.stderr
+    assert "prefix: skipped (values placed by a word walk" in proc.stderr
+
+
 def test_count_jacobi_trudi_answers_a_huge_alphabet():
     # walking the n columns would not end; the timeout turns that into a failure
     proc = subprocess.run(

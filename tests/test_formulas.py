@@ -1,5 +1,6 @@
 """Closed forms and the recurrence against enumerative ground truth."""
 
+import time
 from itertools import product
 from math import comb, factorial, prod
 
@@ -215,6 +216,24 @@ def test_descent_count_budget_covers_all_levels_together():
         descent_count(ds, 18, 2, EnumerationBudget(max_work=229_760))
     answer = descent_count(ds, 18, 2, EnumerationBudget(max_work=229_761))
     assert answer == count_via_jacobi_trudi(ds, 18, 2)
+
+
+def test_descent_count_charges_a_transition_the_words_of_its_masks():
+    # 8001-bit masks cost 126 a transition, so the refusal comes in well
+    # under a second, not after a minute of DP
+    start = time.process_time()
+    with pytest.raises(BudgetExceededError, match="max_work = 10000000$"):
+        descent_count(DescentSet((8000,)), 2, 8000)
+    assert time.process_time() - start < 2
+
+
+def test_descent_count_refusal_threshold_past_one_mask_word():
+    # 5,050 transitions on 101-bit masks, two 64-bit words each
+    ds = DescentSet((100,))
+    expected = count_via_jacobi_trudi(ds, 2, 100)
+    assert descent_count(ds, 2, 100, EnumerationBudget(10_100)) == expected
+    with pytest.raises(BudgetExceededError, match="max_work = 10099$"):
+        descent_count(ds, 2, 100, EnumerationBudget(10_099))
 
 
 def test_descent_count_known_value():

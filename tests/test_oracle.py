@@ -420,6 +420,23 @@ def test_walks_have_no_recursion_ceiling():
     assert count_prefix(ds, 2, 1100) == 1100 == count_via_jacobi_trudi(ds, 2, 1100)
 
 
+def test_walks_refuse_a_huge_alphabet_or_word_before_allocating():
+    # every value of the alphabet, or every position but the last, would
+    # cost at least 1, so each call is refused before the walk builds its
+    # per-value caps or per-position lists (8 TB here)
+    huge = DescentSet((10**12,))
+    for call in (
+        lambda: count_prefix(huge, 2, 10**12),
+        lambda: count_prefix(DescentSet((2,)), 10**12, 1),
+        lambda: count_coeff_witnesses(huge, 1),
+        lambda: count_last_fixed(huge, 3, 2),
+    ):
+        start = time.process_time()
+        with pytest.raises(BudgetExceededError, match="max_work = 10000000$"):
+            call()
+        assert time.process_time() - start < 0.1
+
+
 def test_walks_refuse_a_range_before_working_through_it():
     # each first range alone is over the default budget, and the walk
     # charges it before its caller counts a word of it, so the refusal
