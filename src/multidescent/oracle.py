@@ -43,8 +43,10 @@ class EnumerationBudget:
     arrangements, a word walk the values it places or offers to the last
     position, the recurrence the (state, T) transitions of all its levels'
     DPs, each weighted by the 64-bit words of its masks (1 + ``largest`` //
-    64), the Jacobi-Trudi chain its placements.  Passing it raises
-    ``BudgetExceededError`` naming ``max_work``."""
+    64), the Jacobi-Trudi chain its placements, and coefficient extraction,
+    against the default budget, its closed-form products and difference-table
+    subtractions.  Passing it raises ``BudgetExceededError`` naming
+    ``max_work``."""
 
     max_work: int = 10_000_000
 
@@ -344,9 +346,9 @@ def count_prefix(
     budget = budget or DEFAULT_BUDGET
     if n > budget.max_work:
         raise budget.refusal(_WALK_WORK)
-    caps = (m,) * n
     if length == 1:
-        return _count_words(descents, caps, -3, budget=budget)  # every last value but 1
+        return n - 1  # every last value but 1
+    caps = (m,) * n
     alphabet = (1 << n + 1) - 2  # bits 1..n
     fall = length - 1 in descents
     total = 0

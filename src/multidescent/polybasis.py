@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .core import ConsistencyError, DescentSet, strict_ints
 from .formulas import binom_poly, stable_descent_count
+from .oracle import DEFAULT_BUDGET
 from .oracle import count_coeff_witnesses  # noqa: F401  perfbench/spans.py traces this binding
 
 
@@ -62,33 +63,30 @@ class BinomialBasisPoly:
 def extract_coeffs(descents: DescentSet, offset: int) -> BinomialBasisPoly:
     """Coefficients of the stabilized count over (binom(n + offset, i))_i.
 
-    Newton forward differences: sampling the polynomial at
-    n = -offset, -offset + 1, ... turns the base into (binom(j, i))_i, whose
-    coefficients are the iterated differences at the first sample.  The
-    difference one past the degree must vanish, and the result is re-checked
-    against fresh evaluations beyond the sampled window; either failure
-    raises, since it would mean the library contradicts itself.
+    One forward-difference table over the samples at n = -offset + j for
+    j in 0..2d+3, d = ``largest``: there the base is (binom(j, i))_i, so
+    coefficient i is the first entry of the i-th difference row.  The
+    samples lie on one polynomial of degree at most d exactly when the whole
+    (d + 1)-th row vanishes; a non-zero entry raises, since it would mean
+    the library contradicts itself.  Before sampling, the closed form's
+    products (|I|(|I| + 1)/2 a sample) and the table's 3(d + 1)(d + 2)/2
+    subtractions are charged to the default budget.
     """
     strict_ints((offset,), "offsets")
-    degree = descents.largest
-    level = [stable_descent_count(descents, -offset + j) for j in range(degree + 2)]
-    coeffs = [level[0]]
-    for _ in range(degree + 1):
-        level = [b - a for a, b in zip(level, level[1:])]
+    d, size = descents.largest, len(descents)
+    work = (2 * d + 4) * size * (size + 1) // 2 + 3 * (d + 1) * (d + 2) // 2
+    if work > DEFAULT_BUDGET.max_work:
+        raise DEFAULT_BUDGET.refusal(f"coefficients at |I| = {size}, max(I) = {d}")
+    level = [stable_descent_count(descents, -offset + j) for j in range(2 * d + 4)]
+    coeffs = []
+    for _ in range(d + 1):
         coeffs.append(level[0])
-    if coeffs.pop() != 0:
+        level = [b - a for a, b in zip(level, level[1:])]
+    if any(level):
         raise ConsistencyError(
-            f"stabilized count for {descents} is not a degree-{degree} polynomial"
+            f"stabilized count for {descents} is not a degree-{d} polynomial"
         )
-    poly = BinomialBasisPoly(offset, tuple(coeffs))
-    for j in range(degree + 2, 2 * degree + 4):
-        n = -offset + j
-        if poly.evaluate(n) != stable_descent_count(descents, n):
-            raise ConsistencyError(
-                f"extracted coefficients for {descents} fail to reproduce the "
-                f"stabilized count at n = {n}"
-            )
-    return poly
+    return BinomialBasisPoly(offset, tuple(coeffs))
 
 
 def shift_basis(poly: BinomialBasisPoly, new_offset: int) -> BinomialBasisPoly:

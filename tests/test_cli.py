@@ -352,6 +352,19 @@ def test_count_prefix_ends_within_its_budget_at_a_descent_at_1100():
         assert "more than max_work = 10000000" in proc.stderr
 
 
+def test_coeffs_refuses_a_dense_set_within_its_budget():
+    # 400 descents up to 799: its 1602 closed-form samples once took 424 s
+    odd = ",".join(str(p) for p in range(1, 800, 2))
+    proc = subprocess.run(
+        [sys.executable, "-m", "multidescent", "coeffs", "--set", odd],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == cli.EXIT_BUDGET, proc.stderr
+    assert "more than max_work = 10000000" in proc.stderr
+
+
 def test_count_skips_the_walks_at_a_huge_alphabet():
     # the walks would place each of 10^12 values: both are refused before
     # they allocate, and the recurrence and jacobi-trudi still answer

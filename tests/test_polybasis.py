@@ -3,8 +3,16 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multidescent.core import DescentSet, DomainError
+from multidescent import polybasis
+from multidescent.core import (
+    BudgetExceededError,
+    ConsistencyError,
+    DescentSet,
+    DomainError,
+)
 from multidescent.formulas import binom_poly, stable_descent_count
 from multidescent.oracle import count_coeff_witnesses
 from multidescent.polybasis import BinomialBasisPoly, extract_coeffs, shift_basis
@@ -34,8 +42,8 @@ def test_poly_evaluate():
 
 
 def test_poly_evaluate_steps_the_binomial_along_the_sum():
-    # evaluate once called binom_poly per coefficient, so the re-check in
-    # extract_coeffs made O(d^2) comb calls, each of size up to d
+    # evaluate once called binom_poly per coefficient, so evaluating a
+    # degree-d poly at d points made O(d^2) comb calls, each of size up to d
     start = time.process_time()
     poly = extract_coeffs(DescentSet((600,)), -1)
     assert time.process_time() - start < 3
@@ -89,6 +97,62 @@ def test_extract_coeffs_reaches_twenty_five_descents():
     poly = extract_coeffs(ds, -1)  # raises unless its own re-check passes
     assert poly.degree == 49
     assert stable_descent_count(ds, 60) == poly.evaluate(60)
+
+
+@pytest.mark.parametrize(
+    "j, raises",
+    [(0, True), (3, True), (5, True), (6, True), (9, True), (11, True),
+     (-1, False), (12, False)],
+)
+def test_extract_coeffs_raises_when_one_read_sample_is_off(monkeypatch, j, raises):
+    # {2, 4} has degree 4, so extraction at offset -1 reads the samples at
+    # n = 1 + j for j in 0..11, the first 6 giving the coefficients: a bump
+    # among any of the 12 leaves them off every degree-4 polynomial
+    ds, offset = DescentSet((2, 4)), -1
+    expected = extract_coeffs(ds, offset)
+    bumped = -offset + j
+
+    def off_by_one(descents, n):
+        return stable_descent_count(descents, n) + (n == bumped)
+
+    monkeypatch.setattr(polybasis, "stable_descent_count", off_by_one)
+    if raises:
+        with pytest.raises(ConsistencyError, match=r"\{2,4\}"):
+            extract_coeffs(ds, offset)
+    else:
+        assert extract_coeffs(ds, offset) == expected
+
+
+def test_extract_coeffs_refuses_a_single_descent_past_2579(monkeypatch):
+    # (2d + 4) closed-form products and 3(d + 1)(d + 2)/2 subtractions are
+    # charged before any sample: 9,993,632 at d = 2579, 10,001,377 at 2580
+    class Sampled(Exception):
+        pass
+
+    def sample(descents, n):
+        raise Sampled
+
+    monkeypatch.setattr(polybasis, "stable_descent_count", sample)
+    with pytest.raises(Sampled):
+        extract_coeffs(DescentSet((2579,)), -1)
+    with pytest.raises(BudgetExceededError) as refused:
+        extract_coeffs(DescentSet((2580,)), -1)
+    assert str(refused.value) == (
+        "coefficients at |I| = 1, max(I) = 2580, more than max_work = 10000000"
+    )
+
+
+@settings(deadline=None)
+@given(
+    st.sets(st.integers(1, 40), min_size=1, max_size=10),
+    st.integers(-5, 5),
+)
+def test_extract_coeffs_agrees_with_the_shifted_base_at_larger_degrees(elements, k):
+    ds = DescentSet(tuple(sorted(elements)))
+    base = extract_coeffs(ds, -1)
+    assert extract_coeffs(ds, k) == shift_basis(base, k)
+    for n in (-7, 0, ds.largest, 3 * ds.largest + 11):
+        assert base.evaluate(n) == stable_descent_count(ds, n), n
 
 
 def test_shift_basis_known_step():
