@@ -8,18 +8,21 @@ once per left-over multiset, with their descent masks, so a word costs
 one counter increment, not one permutation step.  :func:`count_naive`
 reads one set off it.  Every other counter counts over one walker,
 ``_pattern_walk``, which lists words with a prescribed drop pattern and
-per-value caps on an explicit stack, without memoization, and stops two
-positions short.  It hands over the range of the second-to-last position
-with a bit mask of the values at their caps.  ``count_prefix`` counts each
-handover at once, as sums of ranks from bit counts of that mask; every
-other counter places the second-to-last value in the loop of one call of
-``_count_words``, which counts each last range with a bit count and also
-selects by the last value and by the values a word must hold.  The walk
-alone charges the budget, in one unit: 1 per value placed before the last
-position, and the size of each last range, each second-to-last range
-charged before its caller works through it.  The formula modules must
-match these on overlapping domains; tests and the verify suite enforce
-that.
+per-value caps on an explicit stack, without memoization, and stops three
+positions short.  It hands over the range of the third-to-last position
+with a bit mask of the values at their caps, and its callers place that
+value in a loop of their own.  ``count_prefix`` counts each second-to-last
+range after it at once, as sums of ranks that step by one value as the
+loop goes; every other counter places the second-to-last value in a loop
+inside it, in one call of ``_count_words``, which counts each last range
+with a bit count and also selects by the last value and by the values a
+word must hold.  The budget is charged in one unit: 1 per value placed
+before the last position, and the size of each last range, each
+third-to-last value charged with its second-to-last range before its
+caller counts it.  A word of two values has no third-to-last position:
+its one second-to-last range is charged and counted without a walk.  The
+formula modules must match these on overlapping domains; tests and the
+verify suite enforce that.
 """
 
 from __future__ import annotations
@@ -174,33 +177,51 @@ def count_naive(
     return descent_histogram(n, m, budget).get(descents, 0)
 
 
+def _range_work(first: int, end: int, capped: int, fall: bool, top: int) -> int:
+    """The charge of a second-to-last range(first, end): for each value a
+    below its cap, a after a drop to the last value and 1 + top - a after
+    an ascent, which is 1 for placing a plus the size of a's last range."""
+    if fall:
+        work = (first + end - 1) * (end - first) // 2
+    else:
+        work = (2 * top + 3 - first - end) * (end - first) // 2
+    rest = capped & ((1 << end) - (1 << first))
+    while rest:  # less the charges of the capped values
+        low = rest & -rest
+        a = low.bit_length() - 1
+        work -= a if fall else 1 + top - a
+        rest ^= low
+    return work
+
+
 def _pattern_walk(
     descents: DescentSet,
     caps: Sequence[int],
     budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> Iterator[tuple[int, int, int, list[int]]]:
-    """Walk the words of length ``largest`` >= 2 over 1..len(caps) that use
+) -> Iterator[tuple[int, int, int, list[int], list[int]]]:
+    """Walk the words of length ``largest`` >= 3 over 1..len(caps) that use
     each value v at most ``caps[v-1]`` times and drop strictly exactly at
-    the descent set without its largest element, two positions short.
-    Yield ``(lo, hi, capped, usage)`` once per word without its last two
-    values.
+    the descent set without its largest element, three positions short.
+    Yield ``(lo, hi, capped, usage, spent)`` once per word without its last
+    three values.
 
-    The second-to-last value is any v in range(lo, hi) below its cap, and
-    the caller places it and each last value.  ``usage[v]`` is how often v
-    occurs in the first ``largest - 2`` positions (``usage[0]`` stays 0),
-    and bit v of ``capped`` is set when v is at its cap, so ``least``, the
-    smallest value below its cap, is its lowest clear bit above bit 0.  The
-    list is live and the walk's own: read it, never change it.  The
-    walk is a depth-first search on an explicit stack, the value and the
-    range of values still open at each position, so memory is
-    O(largest + len(caps)) and no length meets a recursion limit.  Nothing
-    is memoized or merged: every word without its last two values is
-    reached on its own.  The walk charges 1 per value placed and, before
-    it yields a range, 1 per value the caller may place there plus the
-    size of that value's last range; more than the budget's ``max_work``
-    raises, before the caller does the work.  A word reaching the handover
-    costs at least ``largest - 1``, so a walk where that passes ``max_work``
-    is refused before it allocates, even when no word fits.
+    The third-to-last value is any v in range(lo, hi) below its cap, and
+    the caller places it and the two values after it.  ``usage[v]`` is how
+    often v occurs in the first ``largest - 3`` positions (``usage[0]``
+    stays 0), and bit v of ``capped`` is set when v is at its cap, so
+    ``least``, the smallest value below its cap, is its lowest clear bit
+    above bit 0.  The list is live and the walk's own: read it, never
+    change it.  ``spent`` is a one-item list holding the walk's running
+    charge: the caller adds its own charges to it, refusing once they pass
+    ``max_work``, and the walk goes on from there.  The walk is a
+    depth-first search on an explicit stack, the value and the range of
+    values still open at each position, so memory is O(largest +
+    len(caps)) and no length meets a recursion limit.  Nothing is memoized
+    or merged: every word without its last three values is reached on its
+    own.  The walk charges 1 per value it places, more than the budget's
+    ``max_work`` raises, and a word reaching the last position costs at
+    least ``largest - 1``, so a walk where that passes ``max_work`` is
+    refused before it allocates, even when no word fits.
     """
     length = descents.largest
     if length - 1 > budget.max_work:
@@ -212,35 +233,19 @@ def _pattern_walk(
     top = len(cap)
     usage = [0] * top
     capped = sum(1 << v for v in range(1, top) if not cap[v])
-    stop = length - 1  # the second-to-last position, left to the caller
-    fall = falls[stop]  # last ranges are range(1, a) after a drop, else range(a, top)
+    stop = length - 2  # the third-to-last position, left to the caller
     word = [0] * stop  # word[p]: the value at position p, 0 before the first
     lo = [1] * length  # position p takes values in range(lo[p], hi[p])
     hi = [top] * length
     limit = budget.max_work
+    spent = [0]
     placed = 0
     pos = 1
     while pos:
         if pos == stop:
-            # charge each value a of the range below its cap and its last
-            # range, a after a drop and 1 + top - a after an ascent: the
-            # charges of the whole range less those of the capped values
-            first, end = lo[pos], hi[pos]
-            if fall:
-                work = (first + end - 1) * (end - first) // 2
-            else:
-                work = (2 * top + 3 - first - end) * (end - first) // 2
-            rest = capped & ((1 << end) - (1 << first))
-            while rest:
-                low = rest & -rest
-                a = low.bit_length() - 1
-                work -= a if fall else 1 + top - a
-                rest ^= low
-            if work:  # every charge is positive: some value is free
-                placed += work
-                if placed > limit:
-                    raise budget.refusal(_WALK_WORK)
-                yield first, end, capped, usage
+            spent[0] = placed
+            yield lo[pos], hi[pos], capped, usage, spent
+            placed = spent[0]
             pos -= 1
             continue
         value = word[pos]
@@ -282,34 +287,68 @@ def _count_words(
     """Count the words of :func:`_pattern_walk` whose last value has its bit
     set in ``last_ok`` and that hold every value whose bit is set in ``need``.
 
-    Each second-to-last value ``a`` is placed in a loop, and its last range
-    is counted at once, a bit count of its values below their caps and in
-    ``last_ok``: all of them when the word already holds every value of
-    ``need``, only the missing one when exactly one is missing, none
-    otherwise.  So a ``need`` of more values than ``largest`` counts
-    nothing, but the walk still runs, and may refuse.  A word of one value
-    is only a last range, range(1, len(caps) + 1), charged here in full.
+    Each third-to-last value ``x`` is placed in a loop, charged 1 plus the
+    charge of its second-to-last range before it is counted, and each
+    second-to-last value ``a`` of that range in a loop inside it.  Then
+    a's last range is counted at once, a bit count of its values below
+    their caps and in ``last_ok``: all of them when the word already holds
+    every value of ``need``, only the missing one when exactly one is
+    missing, none otherwise.  The mask of the values held is built once per
+    handover, x's bit added per x.  So a ``need`` of more values than
+    ``largest`` counts nothing, but the walk still runs, and may refuse.  A
+    word of two values is only a second-to-last range, range(1, len(caps)
+    + 1), and a word of one value only a last range; each is charged here
+    in full.
     """
     cap = (0, *caps)
     top = len(cap)
     length = descents.largest
+    capped = sum(1 << v for v in range(1, top) if not cap[v])
     if length == 1:
         if top - 1 > budget.max_work:
             raise budget.refusal(_WALK_WORK)
-        free = ((1 << top) - 2) & ~sum(1 << v for v in range(1, top) if not cap[v])
+        free = ((1 << top) - 2) & ~capped
         return 0 if need & (need - 1) else (free & last_ok & (need or -1)).bit_count()
     fall = length - 1 in descents  # the word drops before its last value
-    total = 0
-    for lo, hi, capped, usage in _pattern_walk(descents, caps, budget):
-        missing = need and need & ~sum(1 << v for v in range(1, top) if usage[v])
-        for a in range(lo, hi):
+
+    def last_values(
+        first: int, end: int, full: int, missing: int, usage: list[int], x: int
+    ) -> int:
+        """The words whose second-to-last value is some a in range(first,
+        end), given the cap mask ``full`` and the needed values ``missing``
+        before it; x, not counted in ``usage``, is placed just before a."""
+        total = 0
+        for a in range(first, end):
             bit = 1 << a
             left = missing & ~bit
-            if capped & bit or left & (left - 1):
+            if full & bit or left & (left - 1):
                 continue  # a is at its cap, or two values are still missing
-            full = capped | bit if usage[a] + 1 == cap[a] else capped
+            after = full | bit if usage[a] + (a == x) + 1 == cap[a] else full
             last = bit - 2 if fall else (1 << top) - bit
-            total += (last & ~full & last_ok & (left or -1)).bit_count()
+            total += (last & ~after & last_ok & (left or -1)).bit_count()
+        return total
+
+    limit = budget.max_work
+    if length == 2:  # no third-to-last position: one range, at position 1
+        if _range_work(1, top, capped, fall, top) > limit:
+            raise budget.refusal(_WALK_WORK)
+        return last_values(1, top, capped, need, [0] * top, 0)
+    drop = length - 2 in descents  # the word drops before its second-to-last value
+    total = 0
+    for lo, hi, capped, usage, spent in _pattern_walk(descents, caps, budget):
+        work = spent[0]
+        missing = need and need & ~sum(1 << v for v in range(1, top) if usage[v])
+        for x in range(lo, hi):
+            bit = 1 << x
+            if capped & bit:
+                continue
+            full = capped | bit if usage[x] + 1 == cap[x] else capped
+            first, end = (1, x) if drop else (x, top)
+            work += 1 + _range_work(first, end, full, fall, top)
+            if work > limit:
+                raise budget.refusal(_WALK_WORK)
+            total += last_values(first, end, full, missing & ~bit, usage, x)
+        spent[0] = work
     return total
 
 
@@ -322,7 +361,7 @@ def count_prefix(
     multiset sorted after them (the whole word for the empty set: count 1),
     so the final descent holds exactly when the last value exceeds the
     smallest value still below its cap after it.  Only the prefixes are
-    walked, pruned by the forced comparisons, and the walk stops two
+    walked, pruned by the forced comparisons, and the walk stops three
     positions short; a prefix of one value is its last range, and all its
     values count but 1.
 
@@ -331,11 +370,18 @@ def count_prefix(
     after a drop or range(a, n + 1) after an ascent, less the least free
     value if it lies there.  Counted before ``a`` is placed, a free value's
     rank is the number of free values below it, and the free values of one
-    handed-over range have consecutive ranks, so each handover is counted
-    at once as sums of ranks from bit counts of the walk's cap mask.  The
-    walk charges the budget for the values placed or offered, before they
-    are, and it would place or offer every value, so more than
-    ``max_work`` values are refused before any cap is built.
+    second-to-last range have consecutive ranks, so each range is counted
+    at once as sums of ranks.  Each third-to-last value ``x`` of a
+    handover is placed in one loop that scans the free values from the far
+    end of x's second-to-last range: up from 1 when it is range(1, x),
+    after a drop, and down from n when it is range(x, n + 1), after an
+    ascent.  So the free values of that range, those of them at m - 1 and
+    their charges each step by one value per value passed, and x is charged
+    1 plus the charge of its range before it is counted.  A prefix of two
+    values has one second-to-last range, range(1, n + 1), and no walk.  The
+    walk and this loop charge the budget for the values placed or offered,
+    before they are, and they would place or offer every value, so more
+    than ``max_work`` values are refused before any cap is built.
     """
     require_positive(n=n, m=m)
     if not descents:
@@ -344,24 +390,65 @@ def count_prefix(
     if length >= n * m:
         return 0  # no successor position left for the final descent
     budget = budget or DEFAULT_BUDGET
-    if n > budget.max_work:
+    limit = budget.max_work
+    if n > limit:
         raise budget.refusal(_WALK_WORK)
     if length == 1:
         return n - 1  # every last value but 1
-    caps = (m,) * n
-    alphabet = (1 << n + 1) - 2  # bits 1..n
-    fall = length - 1 in descents
+    top = n + 1
+    fall = length - 1 in descents  # a drops to the last value
+    if length == 2:  # all n values free: ranks 0..n-1, least 1, none capped
+        if _range_work(1, top, 0, fall, top) > limit:
+            raise budget.refusal(_WALK_WORK)
+        return (n - 1) * (n - 2) // 2 if fall else n * top // 2 - 1 - (m == 1) * n
+    drop = length - 2 in descents  # x drops to a
     total = 0
-    for lo, hi, capped, usage in _pattern_walk(descents, caps, budget):
-        free = alphabet & ~capped
-        span = free & ((1 << hi) - (1 << lo))
-        c = span.bit_count()
-        ranks = c * (free & ((1 << lo) - 1)).bit_count() + c * (c - 1) // 2
-        least = bool(free & -free & span)  # the least free value is some a
-        if fall:  # a's rank, less 1 unless a is least
-            total += ranks - c + least
-        else:  # the free values from a up, less a if it fills, less least
-            total += c * free.bit_count() - ranks - usage[lo:hi].count(m - 1) - least
+    for lo, hi, capped, usage, spent in _pattern_walk(descents, (m,) * n, budget):
+        work = spent[0]
+        p = (((1 << top) - 2) & ~capped).bit_count()  # the free values
+        r = h = s = 0  # free values passed, those at m - 1, and their charges
+        if drop:  # a in range(1, x): scan up from 1
+            for x in range(1, hi):
+                u = usage[x]
+                if u == m:
+                    continue
+                k = u == m - 1  # x fills its cap
+                if x >= lo:
+                    work += 1 + s
+                    if work > limit:
+                        raise budget.refusal(_WALK_WORK)
+                    # the r free values of range(1, x) have ranks 0..r-1,
+                    # and the least free value is among them when r > 0
+                    if fall:  # each a's rank, less 1 unless a is least
+                        total += r * (r - 1) // 2 - r + (r > 0)
+                    else:  # the free values from a up, less a if it fills, less least
+                        total += r * (p - k) - r * (r - 1) // 2 - h - (r > 0)
+                r += 1
+                h += k
+                s += x if fall else top + 1 - x
+        else:  # a in range(x, top): scan down from n
+            for x in range(n, lo - 1, -1):
+                u = usage[x]
+                if u == m:
+                    continue
+                k = u == m - 1
+                w = x if fall else top + 1 - x
+                if x < hi:
+                    work += 1 + s + (not k) * w
+                    if work > limit:
+                        raise budget.refusal(_WALK_WORK)
+                    c = r + 1 - k  # the free values of range(x, top) once x is placed
+                    below = p - r - 1  # the free values below x
+                    ranks = c * below + c * (c - 1) // 2
+                    least = not below and c > 0
+                    if fall:
+                        total += ranks - c + least
+                    else:  # x itself is at m - 1 once placed when u == m - 2
+                        total += c * (p - k) - ranks - h - (u == m - 2) - least
+                r += 1
+                h += k
+                s += w
+        spent[0] = work
     return total
 
 
@@ -386,7 +473,7 @@ def _free_caps(descents: DescentSet, i: int, skip_one: bool = False) -> tuple[in
     ``largest`` over 1..i+1, each value free to repeat, value 1 left out
     when ``skip_one``.
 
-    The walk charges every free value at least once (placed at position 1,
+    A count charges every free value at least once (placed at position 1,
     offered in the first range, or counted in the one last range), so more
     free values than ``max_work`` are refused before any cap is built.
     """

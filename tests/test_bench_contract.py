@@ -4,9 +4,9 @@
 rename would only surface when a traced benchmark run crashes.  The demos
 are scripts nothing else runs.  The count-wide references were cross-checked
 by reflection when recorded, so the determinant route must reproduce them;
-the recurrence and the determinant route must reproduce the count-dense
-references, and the verify reports must keep the recorded verify-full check
-counts.
+the prefix, recurrence and determinant routes must each reproduce the
+count-dense references, and the verify reports must keep the recorded
+verify-full check counts.
 The harness's own smoke check runs here too, so a library change that
 breaks the harness fails in the tests and not only at benchmark time.
 """
@@ -24,6 +24,7 @@ import pytest
 import multidescent
 from multidescent.core import DescentSet
 from multidescent.formulas import descent_count
+from multidescent.oracle import count_prefix
 from multidescent.schur import count_via_jacobi_trudi
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,6 +71,10 @@ def count_dense_mismatches(route):
         if route(DescentSet(elements), n, m) != expected:
             wrong.append(key)
     return wrong
+
+
+def test_prefix_reproduces_the_count_dense_references():
+    assert count_dense_mismatches(count_prefix) == []
 
 
 def test_recurrence_reproduces_the_count_dense_references():

@@ -29,7 +29,6 @@ from multidescent.oracle import (
     count_onto_upper,
     count_prefix,
     descent_histogram,
-    _pattern_walk,
     _count_words,
 )
 from multidescent.verify import descent_sets_up_to
@@ -87,7 +86,7 @@ def test_descent_histogram_tallies_every_arrangement_once():
             histogram = descent_histogram(n, m)
             assert sum(histogram.values()) == factorial(n * m) // factorial(m) ** n
             assert histogram[DescentSet()] == 1  # the sorted word
-            # count_prefix needs 11 s for the 512 sets of n = 10, m = 1
+            # count_prefix needs 5 s for the 512 sets of n = 10, m = 1
             route = count_via_jacobi_trudi if n == 10 else count_prefix
             for ds, count in histogram.items():
                 assert count == route(ds, n, m), (ds, n, m)
@@ -213,6 +212,66 @@ def test_count_prefix_refusal_thresholds_are_pinned(elements, n, m, least_work):
     assert count_prefix(ds, n, m, EnumerationBudget(least_work)) == expected
     with pytest.raises(BudgetExceededError, match=f"max_work = {least_work - 1}$"):
         count_prefix(ds, n, m, EnumerationBudget(least_work - 1))
+
+
+def _walk_charge(ds, caps):
+    """Independent reference for a word walk's charge: 1 for each partial
+    word of length 1..max(I) - 2 that keeps the caps and the drops of I
+    minus max(I), listed by ``itertools.product``, and for each one of
+    length max(I) - 2, each value a of its second-to-last range below its
+    cap: a before a drop to the last value, else len(caps) + 2 - a.  A
+    word of one value is charged its whole alphabet.  A budget below
+    max(I) - 1 is refused before the walk starts, even when no word fits."""
+    d, top = ds.largest, len(caps) + 1
+    if d == 1:
+        return len(caps)
+    drops = set(ds.elements[:-1])
+    charge = 0
+    for length in range(d - 1):
+        for w in product(range(1, top), repeat=length):
+            if any(w.count(v) > caps[v - 1] for v in w) or any(
+                (w[i - 1] > w[i]) != (i in drops) for i in range(1, length)
+            ):
+                continue
+            charge += length > 0  # the empty word places nothing
+            if length < d - 2:
+                continue
+            if not w:
+                second = range(1, top)
+            elif length in drops:
+                second = range(1, w[-1])
+            else:
+                second = range(w[-1], top)
+            for a in second:
+                if w.count(a) < caps[a - 1]:
+                    charge += a if d - 1 in drops else 1 + top - a
+    return max(charge, d - 1)
+
+
+def test_walk_charges_match_a_product_reference():
+    # the least max_work that answers is the reference charge, on a whole
+    # grid, for the prefix route and for the counting kernel
+    for ds in descent_sets_up_to(6):
+        for n in range(1, 5):
+            for m in range(1, 4):
+                if ds.largest >= n * m:
+                    continue  # answered 0 before any walk
+                least_work = _walk_charge(ds, (m,) * n)
+                expected = count_prefix(ds, n, m)
+                assert count_prefix(ds, n, m, EnumerationBudget(least_work)) == expected
+                if least_work > 1:
+                    with pytest.raises(
+                        BudgetExceededError, match=f"max_work = {least_work - 1}$"
+                    ):
+                        count_prefix(ds, n, m, EnumerationBudget(least_work - 1))
+        for caps in ((2, 1, 3, 1), (0, 2, 1, 2)):
+            least_work = _walk_charge(ds, caps)
+            expected = _count_words(ds, caps)
+            answered = _count_words(ds, caps, budget=EnumerationBudget(least_work))
+            assert answered == expected
+            refused = f"max_work = {least_work - 1}$"
+            with pytest.raises(BudgetExceededError, match=refused):
+                _count_words(ds, caps, budget=EnumerationBudget(least_work - 1))
 
 
 def test_count_prefix_agrees_with_count_naive_on_a_small_grid():
@@ -380,7 +439,7 @@ def test_walk_counters_match_a_product_reference():
 
 
 def test_count_words_counts_every_word():
-    # the last two positions are counted outside the walk; every capped word
+    # the last three positions are counted outside the walk; every capped word
     # must still count once for each last value and needed set it meets
     for ds in descent_sets_up_to(5):
         for caps in ((1, 2, 1), (0, 2, 3), (2, 0, 1, 2), (ds.largest,) * 3):
@@ -438,13 +497,13 @@ def test_walks_refuse_a_huge_alphabet_or_word_before_allocating():
 
 
 def test_walks_refuse_a_range_before_working_through_it():
-    # each first range alone is over the default budget, and the walk
-    # charges it before its caller counts a word of it, so the refusal
-    # comes at once however wide the alphabet
+    # each first range alone is over the default budget, and it is charged
+    # before a word of it is counted, so the refusal comes at once however
+    # wide the alphabet
     over = "max_work = 10000000"
     for ds in (DescentSet((2,)), DescentSet((1, 2))):
         with pytest.raises(BudgetExceededError, match=over):
-            next(_pattern_walk(ds, (1,) * 10**6))
+            _count_words(ds, (1,) * 10**6)
         with pytest.raises(BudgetExceededError, match=over):
             _count_words(ds, (2,) * 10**5)
         with pytest.raises(BudgetExceededError, match=over):
