@@ -8,7 +8,10 @@ bounded words with one value-insertion DP over the filled positions, at most
 2**(|I|-1) coarsenings of the first differences, but it is evaluated by a
 forward recurrence over the prefix ends of the descent set, in O(|I|**2)
 binomial products; ``signed_coarsenings`` is the explicit expansion, which
-``schur.jacobi_trudi_terms`` lists.
+``schur.jacobi_trudi_terms`` lists.  One n at a time the recurrence runs on
+scalars (``stable_descent_count``, ``last_fixed_formula``); for a run of
+consecutive n, as coefficient extraction samples, ``_stable_run`` runs it
+once on rows of samples, each block-sum binomial stepped along n.
 """
 
 from __future__ import annotations
@@ -194,6 +197,53 @@ def _alternating_sum(descents: DescentSet, n: int, last: Callable[[int], int]) -
         signed.append(-total)
     total = sum(last(top - f) * g for f, g in zip(ends, signed))
     return total if len(descents) % 2 else -total
+
+
+# Samples per block of ``_stable_run``, the width of its rows.  A process
+# extracting the coefficients of {1, 3, 6, ..., 630} peaks in RSS 22% above
+# one sampling point by point at 64 and 3% above at 16, which costs small
+# sets a few percent more time.
+_RUN_BLOCK = 16
+
+
+def _stable_run(descents: DescentSet, start: int, count: int) -> list[int]:
+    """``stable_descent_count`` at n = start, ..., start + count - 1.
+
+    The prefix-end recurrence of :func:`_alternating_sum`, run once on rows
+    of samples.  The row of block sum q holds P(n) = binom(n - 1 + q, q) =
+    n(n + 1)...(n + q - 1)/q!, stepped along n by the exact n * P(n + 1) =
+    (n + q) * P(n), or P(1) = 1 where n = 0; rows are built only for the
+    block sums that occur.  Row j of the recurrence keeps -G[j], so each
+    product is subtracted and no row is negated.  The samples go through in
+    blocks of ``_RUN_BLOCK``, so at most (distinct block sums + |I|) rows of
+    that width are alive at once however many samples are asked for.
+    """
+    top = descents.largest
+    ends = (0, *descents.elements)
+    inner = ends[1:-1]
+    # P_q(n - 1) for the n that starts the next block
+    before = {
+        q: binom_poly(start - 2 + q, q)
+        for q in {e - f for i, e in enumerate(ends) for f in ends[:i]}
+    }
+    run: list[int] = []
+    for low in range(start, start + count, _RUN_BLOCK):
+        steps = range(low - 1, min(low + _RUN_BLOCK, start + count) - 1)
+        rows = {}
+        for q, b in before.items():
+            rows[q] = [b := b * (x + q) // x if x else 1 for x in steps]
+            before[q] = b
+        kept: list[list[int]] = []  # -G[j] for the inner prefix ends so far
+        for e in inner:
+            total = rows[e]
+            for f, g in zip(inner, kept):
+                total = [t - c * h for t, c, h in zip(total, rows[e - f], g)]
+            kept.append(total)
+        total = [c - 1 for c in rows[top]]
+        for f, g in zip(inner, kept):
+            total = [t - (c - 1) * h for t, c, h in zip(total, rows[top - f], g)]
+        run += total if len(descents) % 2 else [-t for t in total]
+    return run
 
 
 def last_fixed_formula(descents: DescentSet, n: int, j: int) -> int:

@@ -12,9 +12,12 @@ obey are checked by the window, prefix-sign and sign-survey reports of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .core import ConsistencyError, DescentSet, strict_ints
-from .formulas import binom_poly, stable_descent_count
+from .formulas import _stable_run
+from .formulas import binom_poly  # noqa: F401  perfbench/spans.py traces this binding
+from .formulas import stable_descent_count  # noqa: F401  perfbench/spans.py traces this binding
 from .oracle import DEFAULT_BUDGET
 from .oracle import count_coeff_witnesses  # noqa: F401  perfbench/spans.py traces this binding
 
@@ -66,18 +69,21 @@ def extract_coeffs(descents: DescentSet, offset: int) -> BinomialBasisPoly:
     One forward-difference table over the samples at n = -offset + j for
     j in 0..2d+3, d = ``largest``: there the base is (binom(j, i))_i, so
     coefficient i is the first entry of the i-th difference row.  The
-    samples lie on one polynomial of degree at most d exactly when the whole
-    (d + 1)-th row vanishes; a non-zero entry raises, since it would mean
-    the library contradicts itself.  Before sampling, the closed form's
-    products (|I|(|I| + 1)/2 a sample) and the table's 3(d + 1)(d + 2)/2
-    subtractions are charged to the default budget.
+    samples come from one run of the closed form's prefix-end recurrence
+    over all 2d + 4 points, each block-sum binomial stepped along n rather
+    than recomputed.  They lie on one polynomial of degree at most d
+    exactly when the whole (d + 1)-th row vanishes; a non-zero entry
+    raises, since it would mean the library contradicts itself.  Before
+    sampling, the closed form's products (|I|(|I| + 1)/2 a sample) and the
+    table's 3(d + 1)(d + 2)/2 subtractions are charged to the default
+    budget.
     """
     strict_ints((offset,), "offsets")
     d, size = descents.largest, len(descents)
     work = (2 * d + 4) * size * (size + 1) // 2 + 3 * (d + 1) * (d + 2) // 2
     if work > DEFAULT_BUDGET.max_work:
         raise DEFAULT_BUDGET.refusal(f"coefficients at |I| = {size}, max(I) = {d}")
-    level = [stable_descent_count(descents, -offset + j) for j in range(2 * d + 4)]
+    level = _stable_run(descents, -offset, 2 * d + 4)
     coeffs = []
     for _ in range(d + 1):
         coeffs.append(level[0])
@@ -96,10 +102,14 @@ def shift_basis(poly: BinomialBasisPoly, new_offset: int) -> BinomialBasisPoly:
     binom(k-k', i-j), for the old offset k and the new one k', holds for
     every integer k - k', so the new coefficients are
     c'_j = sum_{i>=j} c_i * binom(k-k', i-j): O(degree**2) integer products
-    however far the offset moves.
+    however far the offset moves.  The binomials binom(k-k', i) are stepped
+    along i as in :meth:`BinomialBasisPoly.evaluate`.
     """
     strict_ints((new_offset,), "offsets")
     old = poly.coeffs
-    steps = [binom_poly(poly.offset - new_offset, d) for d in range(len(old))]
-    coeffs = [sum(c * b for c, b in zip(old[j:], steps)) for j in range(len(old))]
+    delta, term, steps = poly.offset - new_offset, 1, []
+    for i in range(len(old)):
+        steps.append(term)
+        term = term * (delta - i) // (i + 1)
+    coeffs = [sum(map(mul, old[j:], steps)) for j in range(len(old))]
     return BinomialBasisPoly(new_offset, tuple(coeffs))

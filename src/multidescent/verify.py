@@ -365,7 +365,11 @@ def basis_roundtrip_report(
 @_report("coefficient evaluation")
 def evaluation_report(top: int = 6) -> Iterator[Check]:
     """Extracted coefficients reproduce the stabilized count at every probed
-    integer, including negative ones."""
+    integer, including negative ones.
+
+    The coefficients are read off the run evaluator's samples and the
+    expected values come from ``stable_descent_count`` one n at a time, so
+    this checks the run evaluator against the point evaluator."""
     for ds in descent_sets_up_to(top):
         expected = [
             formulas.stable_descent_count(ds, n) for n in range(-2, ds.largest + 5)

@@ -353,6 +353,28 @@ def test_stable_descent_count_evaluates_at_any_integer():
         assert stable_descent_count(ds, n) == binom_poly(n + 1, 2) - 1
 
 
+@settings(deadline=None)
+@given(
+    st.sets(st.integers(1, 14), min_size=1, max_size=14),
+    st.integers(-60, 40),
+    st.integers(0, 200),
+)
+def test_stable_run_matches_the_point_evaluator(elements, start, count):
+    # starts down to -60 put every row's zero run 1 - q <= n <= 0 inside the
+    # run, and counts up to 200 cross several block boundaries
+    ds = DescentSet(tuple(elements))
+    expected = [stable_descent_count(ds, n) for n in range(start, start + count)]
+    assert formulas._stable_run(ds, start, count) == expected
+
+
+def test_stable_run_needs_a_non_empty_set():
+    with pytest.raises(DomainError) as point:
+        stable_descent_count(DescentSet(), 3)
+    with pytest.raises(DomainError) as run:
+        formulas._stable_run(DescentSet(), 3, 5)
+    assert str(run.value) == str(point.value)
+
+
 def test_fixed_multiplicity_count_is_polynomial_in_the_alphabet():
     for ds in descent_sets_up_to(3):
         d = ds.largest

@@ -1,12 +1,13 @@
 """Binomial-base coefficients: extraction, shifting, and the sign laws."""
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multidescent import polybasis
+from multidescent import formulas, polybasis
 from multidescent.core import (
     BudgetExceededError,
     ConsistencyError,
@@ -112,10 +113,11 @@ def test_extract_coeffs_raises_when_one_read_sample_is_off(monkeypatch, j, raise
     expected = extract_coeffs(ds, offset)
     bumped = -offset + j
 
-    def off_by_one(descents, n):
-        return stable_descent_count(descents, n) + (n == bumped)
+    def off_by_one(descents, start, count):
+        run = formulas._stable_run(descents, start, count)
+        return [v + (n == bumped) for n, v in enumerate(run, start)]
 
-    monkeypatch.setattr(polybasis, "stable_descent_count", off_by_one)
+    monkeypatch.setattr(polybasis, "_stable_run", off_by_one)
     if raises:
         with pytest.raises(ConsistencyError, match=r"\{2,4\}"):
             extract_coeffs(ds, offset)
@@ -129,10 +131,10 @@ def test_extract_coeffs_refuses_a_single_descent_past_2579(monkeypatch):
     class Sampled(Exception):
         pass
 
-    def sample(descents, n):
+    def sample(descents, start, count):
         raise Sampled
 
-    monkeypatch.setattr(polybasis, "stable_descent_count", sample)
+    monkeypatch.setattr(polybasis, "_stable_run", sample)
     with pytest.raises(Sampled):
         extract_coeffs(DescentSet((2579,)), -1)
     with pytest.raises(BudgetExceededError) as refused:
@@ -140,6 +142,19 @@ def test_extract_coeffs_refuses_a_single_descent_past_2579(monkeypatch):
     assert str(refused.value) == (
         "coefficients at |I| = 1, max(I) = 2580, more than max_work = 10000000"
     )
+
+
+def test_extract_coeffs_samples_in_bounded_memory():
+    # the run evaluator keeps one block of rows alive, not a row of all
+    # 2 * 210 + 4 samples for each of the ~200 distinct block sums
+    ds = DescentSet(tuple(i * (i + 1) // 2 for i in range(1, 21)))
+    tracemalloc.start()
+    try:
+        extract_coeffs(ds, -1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @settings(deadline=None)
