@@ -1,5 +1,7 @@
 """Ribbon construction, determinant expansion, and monomial extraction."""
 
+import subprocess
+import sys
 import time
 from collections import Counter
 from itertools import combinations, permutations, product
@@ -319,6 +321,49 @@ def test_count_via_jacobi_trudi_skips_increments_that_cannot_fit():
     assert count_via_jacobi_trudi(ds, 2, 10_001, EnumerationBudget(5001)) == 10_000
     with pytest.raises(BudgetExceededError, match="max_work = 5000"):
         count_via_jacobi_trudi(ds, 2, 10_001, EnumerationBudget(5000))
+
+
+@pytest.mark.parametrize(
+    "elements, n, m, placements, value",
+    [
+        ((1, 3, 5, 6, 7, 8, 9), 6, 2, 180, 75),
+        ((2, 4, 6, 8, 10, 11, 12), 8, 2, 338, 6108992),
+        (tuple(range(2, 25, 2)), 20, 2, 5067, 10641693185262018213718144),
+        ((6, 12, 18, 24), 30, 3, 12563, 4301259300030116136871341),
+        ((2, 4), 3, 3, 12, 16),
+    ],
+)
+def test_count_via_jacobi_trudi_charges_each_placement_once(
+    elements, n, m, placements, value
+):
+    # the whole chain places exactly this many rows: a budget of that many
+    # answers, one fewer is refused, whatever order the chain places them in
+    ds = DescentSet(elements)
+    assert count_via_jacobi_trudi(ds, n, m, EnumerationBudget(placements)) == value
+    refusal = f"Jacobi-Trudi placements, more than max_work = {placements - 1}$"
+    with pytest.raises(BudgetExceededError, match=refusal):
+        count_via_jacobi_trudi(ds, n, m, EnumerationBudget(placements - 1))
+
+
+def test_count_via_jacobi_trudi_keeps_its_stack_small():
+    if not hasattr(pytest.importorskip("resource"), "RLIMIT_AS"):
+        pytest.skip("no address-space limit here")
+    # two columns share 10^6 units in 5 * 10^5 + 1 ways; a stack holding
+    # every increment of a class at once needed more than 250 MB of address
+    # space, and the reached states take most of the 150 MB this search needs
+    cap = 200 * 2**20
+    child = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from multidescent.core import DescentSet\n"
+        "from multidescent.schur import count_via_jacobi_trudi\n"
+        "print(count_via_jacobi_trudi(DescentSet((10**6,)), 2, 10**6))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(10**6)]
 
 
 def test_rect_coeff_charges_the_default_budget(monkeypatch):
