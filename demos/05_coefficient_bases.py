@@ -11,6 +11,7 @@ from multidescent import (
     extract_coeffs,
     shift_basis,
     stable_descent_count,
+    witness_counts,
 )
 
 ds = DescentSet((2, 4, 5))
@@ -22,11 +23,14 @@ print(f"\ncoefficients over binom(n-1, i): {list(base.coeffs)}")
 print(f"nonzero exactly for i in [{ds.longest_run}, {ds.largest}]")
 
 # each coefficient counts words over 1..i+1 that hit every value above 1,
-# end above 1, and have the prescribed descents
-for i in range(ds.largest + 1):
-    witnesses = count_coeff_witnesses(ds, i)
-    assert witnesses == base.coefficient(i)
-    print(f"  i={i}: coefficient {base.coefficient(i)}, witness words {witnesses}")
+# end above 1, and have the prescribed descents; one walk tallies every
+# index, split by whether the word holds 1, and each index's own walk agrees
+table = witness_counts(ds)
+for i, (upper, full) in enumerate(table):
+    witnesses = upper + full
+    assert witnesses == base.coefficient(i) == count_coeff_witnesses(ds, i)
+    print(f"  i={i}: coefficient {base.coefficient(i)}, witness words {witnesses} "
+          f"({upper} without 1, {full} with 1)")
 
 # the same polynomial over binom(n, i): the first few coefficients are
 # forced to alternate, so a negative entry always shows up

@@ -18,7 +18,13 @@ from .formulas import (
     stabilization_point,
     stable_descent_count,
 )
-from .oracle import EnumerationBudget, count_coeff_witnesses, count_naive, count_prefix
+from .oracle import (
+    EnumerationBudget,
+    count_coeff_witnesses,
+    count_naive,
+    count_prefix,
+    witness_counts,
+)
 from .polybasis import extract_coeffs, shift_basis
 from .schur import count_via_jacobi_trudi, jacobi_trudi_terms, rect_coeff, ribbon_shape
 
@@ -45,4 +51,5 @@ __all__ = [
     "shift_basis",
     "stabilization_point",
     "stable_descent_count",
+    "witness_counts",
 ]

@@ -2,25 +2,30 @@
 
 Everything here counts by honest enumeration, so the functions stay slow and
 obviously correct.  :func:`descent_histogram` tallies every word of one
-(n, m) by exactly one increment: a word is a walked prefix joined to one
-arrangement of the values left over, and those arrangements are listed
-once per left-over multiset, with their descent masks, so a word costs
-one counter increment, not one permutation step.  :func:`count_naive`
-reads one set off it.  Every other counter counts over one walker,
-``_pattern_walk``, which lists words with a prescribed drop pattern and
-per-value caps on an explicit stack, without memoization, and stops three
-positions short.  It hands over the range of the third-to-last position
-with a bit mask of the values at their caps, and its callers place that
-value in a loop of their own.  ``count_prefix`` counts each second-to-last
-range after it at once, as sums of ranks that step by one value as the
-loop goes; every other counter places the second-to-last value in a loop
-inside it, in one call of ``_count_words``, which counts each last range
-with a bit count and also selects by the last value and by the values a
-word must hold.  The budget is charged in one unit: 1 per value placed
+(n, m): a word is a walked prefix joined to one arrangement of the values
+left over, and those arrangements are counted once per left-over multiset
+into rows of counters packed into one ``int`` each, so a prefix adds all
+its words by one integer addition, not one increment per word.
+:func:`count_naive` reads one set off it.  Every other counter counts over
+one walker, ``_pattern_walk``, which lists words with a prescribed drop
+pattern and per-value caps on an explicit stack, without memoization, and
+stops three positions short.  It hands over the range of the third-to-last
+position with a bit mask of the values at their caps.  ``count_prefix``
+places that value in a loop of its own and counts each second-to-last range
+after it at once, as sums of ranks that step by one value as the loop goes;
+every other counter reads the third-to-last values from
+``_second_ranges``, which places and charges them, and places the
+second-to-last value in a loop of its own.  There are three such kernels:
+``_last_counts`` tallies the words by last value, for
+:func:`last_value_counts`, :func:`count_last_fixed` and
+:func:`count_content`; ``_count_words`` counts, for one coefficient index,
+the words that hold a needed set of values and end above 1; and
+:func:`witness_counts` tallies those witnesses for every index at once,
+from one walk.  The budget is charged in one unit: 1 per value placed
 before the last position, and the size of each last range, each
 third-to-last value charged with its second-to-last range before its
-caller counts it.  A word of two values has no third-to-last position:
-its one second-to-last range is charged and counted without a walk.  The
+caller counts it.  A word of two values has no third-to-last position: its
+one second-to-last range is charged and counted without a walk.  The
 formula modules must match these on overlapping domains; tests and the
 verify suite enforce that.
 """
@@ -111,16 +116,20 @@ def descent_histogram(
     Every word is a prefix of its first ``cells - TAIL`` values (none when
     ``cells <= TAIL``) joined to one arrangement of the values left over.
     The distinct prefixes are walked once each, and the arrangements of
-    each distinct left-over multiset are listed once per call, as their
-    first value and internal descent mask, grouped by first value; both
-    come from one next-permutation walk that updates the mask in O(1) per
-    step.  Each word is then tallied by exactly one increment, of its
-    junction and tail masks' counter in the row of its prefix's mask (the
-    junction bit is set when the prefix's last value exceeds the tail's
-    first).  Sets no word realizes are absent; the masks become
-    ``DescentSet`` keys once, at the end.  Nothing is kept across calls.
-    Refuses to start when the (n*m)! / (m!)**n arrangements, or the n*m
-    cells of one word, exceed the budget's ``max_work``.
+    each distinct left-over multiset are listed once per call, by one
+    next-permutation walk that updates their descent mask in O(1) per
+    step, and counted once per (first value, mask).  A row of counters,
+    one per junction and tail mask (the junction bit is set when the
+    prefix's last value exceeds the tail's first), is packed into one
+    ``int``, a field of ``width`` bits per counter; ``width`` is the bit
+    length of the arrangement count, and no counter exceeds that count, so
+    no field overflows into the next.  The packed tails of each left-over
+    multiset are summed once per prefix last value, and each prefix adds
+    its tails into its mask's row by one integer addition.  Sets no word
+    realizes are absent; the masks become ``DescentSet`` keys once, at the
+    end.  Nothing is kept across calls.  Refuses to start when the
+    (n*m)! / (m!)**n arrangements, or the n*m cells of one word, exceed
+    the budget's ``max_work``.
     """
     require_positive(n=n, m=m)
     budget = budget or DEFAULT_BUDGET
@@ -131,37 +140,48 @@ def descent_histogram(
         if max(cells, arrangements) > budget.max_work:
             raise budget.refusal(f"full enumeration at n = {n}, m = {m}")
     cut = max(cells - TAIL, 0)  # the prefix length
+    width = arrangements.bit_length()
     word = [v for v in range(1, n + 1) for _ in range(m)]
-    # left-over multiset -> (first value, masks with junction 0, with 1);
-    # a mask's bit 0 is the junction and bit k + 1 the tail's drop after k + 1
-    tails: dict[tuple[int, ...], list[tuple[int, list[int], list[int]]]] = {}
-    rows: dict[int, list[int]] = {}  # prefix mask -> one counter per tail mask
+    # left-over multiset -> its packed tails, indexed by the prefix's last
+    # value (0: no prefix, no junction descent); a mask's bit 0 is the
+    # junction and bit k + 1 the tail's drop after k + 1
+    tails: dict[tuple[int, ...], list[int]] = {}
+    rows: dict[int, int] = {}  # prefix mask -> its packed row
     for prefix in _arrangements(word, cut):
         left = tuple(word[cut:])
-        groups = tails.get(left)
-        if groups is None:
+        packed = tails.get(left)
+        if packed is None:
             tail = list(left)
-            firsts: dict[int, list[int]] = {}
+            firsts: dict[int, dict[int, int]] = {}  # first -> mask -> count
             for mask in _arrangements(tail, len(tail)):
-                firsts.setdefault(tail[0], []).append(mask << 1)
-            groups = tails[left] = [
-                (first, masks, [mask | 1 for mask in masks])
-                for first, masks in firsts.items()
+                counts = firsts.setdefault(tail[0], {})
+                counts[mask] = counts.get(mask, 0) + 1
+            # the fields at junction 0; one field further on sets the junction
+            ascents = {
+                first: sum(c << (mask << 1) * width for mask, c in counts.items())
+                for first, counts in firsts.items()
+            }
+            packed = tails[left] = [
+                sum(
+                    row << width if last > first else row
+                    for first, row in ascents.items()
+                )
+                for last in range(n + 1)
             ]
-        row = rows.get(prefix)
-        if row is None:
-            row = rows[prefix] = [0] * (1 << len(left))
-        last = word[cut - 1] if cut else 0  # no prefix: no junction descent
-        for first, ascents, drops in groups:
-            for mask in drops if last > first else ascents:
-                row[mask] += 1
+        last = word[cut - 1] if cut else 0
+        rows[prefix] = rows.get(prefix, 0) + packed[last]
     histogram: dict[DescentSet, int] = {}
+    field = (1 << width) - 1
     for prefix, row in rows.items():
-        for mask, count in enumerate(row):
+        mask = 0
+        while row:
+            count = row & field
             if count:  # the junction is bit cut - 1, and 0 when cut is 0
                 full = prefix | (mask << cut) >> 1
                 elements = tuple(p + 1 for p in range(cells - 1) if full >> p & 1)
                 histogram[DescentSet(elements)] = count
+            row >>= width
+            mask += 1
     return histogram
 
 
@@ -277,67 +297,39 @@ def _pattern_walk(
         pos += 1
 
 
-def _count_words(
+def _second_ranges(
     descents: DescentSet,
     caps: Sequence[int],
-    last_ok: int = -1,
-    need: int = 0,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> int:
-    """Count the words of :func:`_pattern_walk` whose last value has its bit
-    set in ``last_ok`` and that hold every value whose bit is set in ``need``.
+    budget: EnumerationBudget,
+) -> Iterator[tuple[int, int, int, int, int, list[int]]]:
+    """Place each third-to-last value ``x`` of the words of
+    :func:`_pattern_walk`, ``largest`` >= 2, and yield ``(first, end, full,
+    held, x, usage)`` once per x.
 
-    Each third-to-last value ``x`` is placed in a loop, charged 1 plus the
-    charge of its second-to-last range before it is counted, and each
-    second-to-last value ``a`` of that range in a loop inside it.  Then
-    a's last range is counted at once, a bit count of its values below
-    their caps and in ``last_ok``: all of them when the word already holds
-    every value of ``need``, only the missing one when exactly one is
-    missing, none otherwise.  The mask of the values held is built once per
-    handover, x's bit added per x.  So a ``need`` of more values than
-    ``largest`` counts nothing, but the walk still runs, and may refuse.  A
-    word of two values is only a second-to-last range, range(1, len(caps)
-    + 1), and a word of one value only a last range; each is charged here
-    in full.
+    The second-to-last value is then any a in range(first, end) whose bit
+    is clear in the cap mask ``full``; ``held`` is the mask of the values
+    placed so far, x's bit included, and x is not counted in ``usage``.
+    Each x is charged 1 plus the charge of its second-to-last range before
+    it is yielded, so a caller that skips it has still paid for it.  A word
+    of two values has no third-to-last position: its one second-to-last
+    range, range(1, len(caps) + 1), is charged in full and yielded once,
+    with x = 0.
     """
     cap = (0, *caps)
     top = len(cap)
     length = descents.largest
-    capped = sum(1 << v for v in range(1, top) if not cap[v])
-    if length == 1:
-        if top - 1 > budget.max_work:
-            raise budget.refusal(_WALK_WORK)
-        free = ((1 << top) - 2) & ~capped
-        return 0 if need & (need - 1) else (free & last_ok & (need or -1)).bit_count()
     fall = length - 1 in descents  # the word drops before its last value
-
-    def last_values(
-        first: int, end: int, full: int, missing: int, usage: list[int], x: int
-    ) -> int:
-        """The words whose second-to-last value is some a in range(first,
-        end), given the cap mask ``full`` and the needed values ``missing``
-        before it; x, not counted in ``usage``, is placed just before a."""
-        total = 0
-        for a in range(first, end):
-            bit = 1 << a
-            left = missing & ~bit
-            if full & bit or left & (left - 1):
-                continue  # a is at its cap, or two values are still missing
-            after = full | bit if usage[a] + (a == x) + 1 == cap[a] else full
-            last = bit - 2 if fall else (1 << top) - bit
-            total += (last & ~after & last_ok & (left or -1)).bit_count()
-        return total
-
     limit = budget.max_work
-    if length == 2:  # no third-to-last position: one range, at position 1
+    if length == 2:
+        capped = sum(1 << v for v in range(1, top) if not cap[v])
         if _range_work(1, top, capped, fall, top) > limit:
             raise budget.refusal(_WALK_WORK)
-        return last_values(1, top, capped, need, [0] * top, 0)
+        yield 1, top, capped, 0, 0, [0] * top
+        return
     drop = length - 2 in descents  # the word drops before its second-to-last value
-    total = 0
     for lo, hi, capped, usage, spent in _pattern_walk(descents, caps, budget):
         work = spent[0]
-        missing = need and need & ~sum(1 << v for v in range(1, top) if usage[v])
+        held = sum(1 << v for v in range(1, top) if usage[v])
         for x in range(lo, hi):
             bit = 1 << x
             if capped & bit:
@@ -347,9 +339,146 @@ def _count_words(
             work += 1 + _range_work(first, end, full, fall, top)
             if work > limit:
                 raise budget.refusal(_WALK_WORK)
-            total += last_values(first, end, full, missing & ~bit, usage, x)
+            yield first, end, full, held | bit, x, usage
         spent[0] = work
+
+
+def _one_value(caps: Sequence[int], budget: EnumerationBudget) -> int:
+    """The mask of the words of one value, the values below their caps: a
+    last range alone, charged in full."""
+    if len(caps) > budget.max_work:
+        raise budget.refusal(_WALK_WORK)
+    return sum(1 << v for v, c in enumerate(caps, 1) if c)
+
+
+def _count_words(
+    descents: DescentSet,
+    caps: Sequence[int],
+    need: int = 0,
+    budget: EnumerationBudget = DEFAULT_BUDGET,
+) -> int:
+    """Count the words of :func:`_pattern_walk` that end in a value other
+    than 1 and hold every value whose bit is set in ``need``.
+
+    Each second-to-last value ``a`` of a range of :func:`_second_ranges` is
+    placed in a loop, and a's last range is counted at once, a bit count of
+    its values other than 1 below their caps: all of them when the word
+    already holds every value of ``need``, only the missing one when
+    exactly one is missing, none otherwise.  So a ``need`` of more values
+    than ``largest`` counts nothing, but the walk still runs, and may
+    refuse.
+    """
+    cap = (0, *caps)
+    top = len(cap)
+    if descents.largest == 1:
+        free = _one_value(caps, budget)
+        return 0 if need & (need - 1) else (free & -3 & (need or -1)).bit_count()
+    fall = descents.largest - 1 in descents
+    total = 0
+    for first, end, full, held, x, usage in _second_ranges(descents, caps, budget):
+        missing = need & ~held
+        for a in range(first, end):
+            bit = 1 << a
+            left = missing & ~bit
+            if full & bit or left & (left - 1):
+                continue  # a is at its cap, or two values are still missing
+            after = full | bit if usage[a] + (a == x) + 1 == cap[a] else full
+            last = bit - 2 if fall else (1 << top) - bit
+            total += (last & ~after & -3 & (left or -1)).bit_count()
     return total
+
+
+def _last_counts(
+    descents: DescentSet,
+    caps: Sequence[int],
+    budget: EnumerationBudget = DEFAULT_BUDGET,
+) -> list[int]:
+    """Count the words of :func:`_pattern_walk` by last value: entry v of
+    the list, for v in 1..len(caps), counts the words ending in v, and
+    entry 0 is 0.
+
+    Each second-to-last value ``a`` of a range of :func:`_second_ranges` is
+    placed in a loop and marked once; a's last range is range(1, a) after a
+    drop and range(a, len(caps) + 1) after an ascent, so after the walk one
+    running sum of the marks counts, for each v, the ranges that hold v.
+    The values at their caps once ``a`` is placed hold no last place: each
+    is taken off its own entry as it is met.
+    """
+    cap = (0, *caps)
+    top = len(cap)
+    if descents.largest == 1:
+        free = _one_value(caps, budget)
+        return [free >> v & 1 for v in range(top)]
+    fall = descents.largest - 1 in descents
+    marks = [0] * (top + 1)
+    tally = [0] * top
+    for first, end, full, _, x, usage in _second_ranges(descents, caps, budget):
+        for a in range(first, end):
+            bit = 1 << a
+            if full & bit:
+                continue
+            marks[a] += 1
+            after = full | bit if usage[a] + (a == x) + 1 == cap[a] else full
+            rest = after & (bit - 2 if fall else -bit)
+            while rest:
+                low = rest & -rest
+                tally[low.bit_length() - 1] -= 1
+                rest ^= low
+    run = 0
+    if fall:  # v lies in range(1, a) for every a above it
+        for v in range(top - 1, 0, -1):
+            run += marks[v + 1]
+            tally[v] += run
+    else:  # v lies in range(a, top) for every a up to it
+        for v in range(1, top):
+            run += marks[v]
+            tally[v] += run
+    return tally
+
+
+def _witness_counts(
+    descents: DescentSet, budget: EnumerationBudget = DEFAULT_BUDGET
+) -> tuple[tuple[int, int], ...]:
+    """:func:`witness_counts` under ``budget``.
+
+    A word over 1..largest+1 that ends above 1 is a witness at index i =
+    max(word) - 1 when it holds every value of 2..max(word), and at no
+    other index.  So, with ``a`` placed and ``h`` the largest value held,
+    the last value is the missing one of 2..h when exactly one is missing
+    (index h - 1), any value of 2..h of a's last range when none is (index
+    h - 1), or h + 1 (index h).  The word counts toward the onto-full side
+    when it holds 1, and the onto-upper side otherwise.  A third-to-last
+    value after which more than two values of 2..h are missing completes
+    no witness; it is charged, as every one is, and skipped.  Each value
+    is capped at ``largest`` uses, which no value reaches before the last
+    position, so every second-to-last and last range is taken whole.
+    """
+    length = descents.largest
+    caps = _free_caps(descents, length)
+    if length == 1:
+        _one_value(caps, budget)
+        return ((0, 0), (1, 0))  # of the words (1) and (2), only (2) ends above 1
+    top = length + 2
+    fall = length - 1 in descents
+    sides = ([0] * top, [0] * top)  # onto-upper, onto-full, by index
+    for first, end, _, held, _, _ in _second_ranges(descents, caps, budget):
+        high = max(held.bit_length(), 2) - 1  # the largest value held, or 1
+        if (((1 << high + 1) - 4) & ~held).bit_count() > 2:
+            continue
+        for a in range(first, end):
+            bit = 1 << a
+            h = a if a > high else high
+            left = ((1 << h + 1) - 4) & ~held & ~bit
+            if left & (left - 1):
+                continue  # two values of 2..h are still missing
+            last = (bit - 2 if fall else (1 << top) - bit) & -3  # less the value 1
+            side = sides[(held | bit) >> 1 & 1]
+            if left:
+                side[h - 1] += last >> left.bit_length() - 1 & 1
+            else:
+                side[h - 1] += (last & (2 << h) - 1).bit_count()
+                side[h] += last >> h + 1 & 1
+    return tuple(zip(sides[0][: length + 1], sides[1][: length + 1]))
 
 
 def count_prefix(
@@ -465,7 +594,7 @@ def count_content(parts: Sequence[int], descents: DescentSet) -> int:
     if sum(parts) != descents.largest:
         raise DomainError(f"content sums to {sum(parts)}, expected {descents.largest}")
     # Caps that add up to the length are met exactly by every word.
-    return _count_words(descents, parts)
+    return sum(_last_counts(descents, parts))
 
 
 def _free_caps(descents: DescentSet, i: int, skip_one: bool = False) -> tuple[int, ...]:
@@ -484,16 +613,37 @@ def _free_caps(descents: DescentSet, i: int, skip_one: bool = False) -> tuple[in
     return (0 if skip_one else free,) + (free,) * i
 
 
-def count_last_fixed(descents: DescentSet, n: int, j: int) -> int:
+def last_value_counts(descents: DescentSet, n: int) -> tuple[int, ...]:
     """Count length-``largest`` words over 1..n, drops exactly at the descent
-    set without its largest element, whose last value is ``j``.
+    set without its largest element, by last value: entry j - 1 counts the
+    words ending in j.
 
-    No multiplicity cap applies here; every value may repeat freely.
+    No multiplicity cap applies here; every value may repeat freely.  One
+    walk tallies every last value, so this costs what one
+    :func:`count_last_fixed` does.
     """
+    require_positive(n=n)
+    return tuple(_last_counts(descents, _free_caps(descents, n - 1))[1:])
+
+
+def count_last_fixed(descents: DescentSet, n: int, j: int) -> int:
+    """The entry of :func:`last_value_counts` for last value ``j``."""
     require_positive(n=n, j=j)
     if j > n:
         raise DomainError(f"last value {j} outside 1..{n}")
-    return _count_words(descents, _free_caps(descents, n - 1), 1 << j)
+    return last_value_counts(descents, n)[j - 1]
+
+
+def witness_counts(descents: DescentSet) -> tuple[tuple[int, int], ...]:
+    """``(count_onto_upper(descents, i), count_onto_full(descents, i))`` for
+    every i in 0..largest, from one walk of the words over 1..largest+1.
+
+    Their sum at i is ``count_coeff_witnesses(descents, i)``, and past
+    ``largest`` every witness counter counts nothing.  The walk charges
+    what ``count_coeff_witnesses(descents, largest)`` charges, and refuses
+    where it does.
+    """
+    return _witness_counts(descents)
 
 
 def count_coeff_witnesses(descents: DescentSet, i: int) -> int:
@@ -503,10 +653,12 @@ def count_coeff_witnesses(descents: DescentSet, i: int) -> int:
     without its largest element, values within 1..i+1, every value of
     2..i+1 present (1 itself is optional), and last value different from 1.
     A word holds at most ``largest`` distinct values, so for larger ``i`` the
-    walk still runs, and may refuse, but no word is counted.
+    walk still runs, and may refuse, but no word is counted.  It walks the
+    words of its own index; :func:`witness_counts` tallies every index in
+    one walk.
     """
     caps = _free_caps(descents, i)
-    return _count_words(descents, caps, -3, (1 << i + 2) - 4)
+    return _count_words(descents, caps, (1 << i + 2) - 4)
 
 
 def count_onto_upper(descents: DescentSet, i: int) -> int:
@@ -517,11 +669,11 @@ def count_onto_upper(descents: DescentSet, i: int) -> int:
     no word is counted for ``i`` above ``largest``.
     """
     caps = _free_caps(descents, i, True)
-    return _count_words(descents, caps, need=(1 << i + 2) - 4)
+    return _count_words(descents, caps, (1 << i + 2) - 4)
 
 
 def count_onto_full(descents: DescentSet, i: int) -> int:
     """Witness words using all of {1, ..., i+1} with last value not 1; no
     word is counted for ``i + 1`` above ``largest``."""
     caps = _free_caps(descents, i)
-    return _count_words(descents, caps, -3, (1 << i + 2) - 2)
+    return _count_words(descents, caps, (1 << i + 2) - 2)

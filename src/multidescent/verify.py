@@ -82,11 +82,12 @@ def agreement_report(
     The enumeration side is one :func:`oracle.descent_histogram` per (n, m),
     made when the grid first reaches that pair, so every set is read off
     the same full enumeration.  The default grid reaches n = 6, 2461
-    checks; the (6, 2) histogram, 7,484,400 words tallied by one increment
-    each, is most of its time.  Every route answers n*m <= largest with 0,
-    but the determinant route is checked only where n*m > largest: the
-    check count at the benchmark's grid (457 at top=4, n_max=4, m_max=3,
-    cells_max=12) is a recorded reference, so the guard stays.
+    checks; the (6, 2) histogram, 7,484,400 words tallied in packed
+    counter rows, is the largest part of its time.  Every route answers
+    n*m <= largest with 0, but the determinant route is checked only where
+    n*m > largest: the check count at the benchmark's grid (457 at top=4,
+    n_max=4, m_max=3, cells_max=12) is a recorded reference, so the guard
+    stays.
     """
     strict_ints((n_max, m_max, cells_max), "grid bounds", 1)
     histograms: dict[tuple[int, int], dict[DescentSet, int]] = {}
@@ -180,15 +181,17 @@ def stable_form_report(top: int = 5, span: int = 3) -> Iterator[Check]:
 
 
 @_report("last-value formula")
-def last_fixed_report(top: int = 4, span: int = 3) -> Iterator[Check]:
-    """The last-value formula matches brute force for every last value."""
+def last_fixed_report(top: int = 6, span: int = 3) -> Iterator[Check]:
+    """The last-value formula matches brute force for every last value,
+    all of them read off one walk per (set, n)."""
     strict_ints((span,), "grid bounds", 0)
     for ds in descent_sets_up_to(top):
         for n in range(ds.largest, ds.largest + span + 1):
+            counts = oracle.last_value_counts(ds, n)
             for j in range(1, n + 1):
                 yield Check(
                     f"{ds} n={n} j={j}: last-value formula matches enumeration",
-                    oracle.count_last_fixed(ds, n, j),
+                    counts[j - 1],
                     formulas.last_fixed_formula(ds, n, j),
                 )
 
@@ -199,10 +202,12 @@ def window_report(top: int = 7) -> Iterator[Check]:
 
     They vanish strictly below the longest run and cannot extend past the
     largest element, are positive inside that window, and each one equals
-    the brute-force witness count.
+    the brute-force witness count; every index's count is read off one
+    walk per set, :func:`oracle.witness_counts`.
     """
     for ds in descent_sets_up_to(top):
         poly = polybasis.extract_coeffs(ds, -1)
+        witnesses = oracle.witness_counts(ds)
         low, high = ds.longest_run, ds.largest
         window = f"window [{low},{high}]"
         yield Check(f"{ds}: degree equals the largest element", high, poly.degree)
@@ -216,7 +221,7 @@ def window_report(top: int = 7) -> Iterator[Check]:
             yield Check(f"{ds}: coefficient {i} {law}", expected, actual)
             yield Check(
                 f"{ds}: coefficient {i} equals the witness count",
-                oracle.count_coeff_witnesses(ds, i),
+                sum(witnesses[i]),
                 value,
             )
 
@@ -386,30 +391,36 @@ def evaluation_report(top: int = 6) -> Iterator[Check]:
 
 
 @_report("witness decompositions")
-def witness_split_report(top: int = 5) -> Iterator[Check]:
+def witness_split_report(top: int = 6) -> Iterator[Check]:
     """Decompositions of the witness counts.
 
-    Each witness count splits by whether the value 1 appears; the part that
-    skips 1 at the next index equals the full part plus the witness count of
-    the descent set without its largest element.  The witness counts also
-    sum, over last values 2..n, to the stabilized enumeration.
+    Each witness count splits by whether the value 1 appears: the count
+    read off :func:`oracle.witness_counts` equals the per-index
+    ``count_onto_upper`` and ``count_onto_full`` walks added.  The part
+    that skips 1 at the next index equals the full part plus the witness
+    count of the descent set without its largest element; both sets' counts
+    come from their tables, which read 0 past their end, where a word of
+    ``largest`` values cannot hold every value the index asks for.  The
+    last-value counts of one walk per (set, n) also sum, over last values
+    2..n, to the stabilized enumeration.
     """
     for ds in descent_sets_up_to(top):
         d = ds.largest
+        table = oracle.witness_counts(ds)
         for i in range(d + 1):
             yield Check(
                 f"{ds} i={i}: witnesses split by whether value 1 appears",
-                oracle.count_coeff_witnesses(ds, i),
+                sum(table[i]),
                 oracle.count_onto_upper(ds, i) + oracle.count_onto_full(ds, i),
             )
         if len(ds) >= 2:
+            shorter = oracle.witness_counts(ds.without_largest)
             for i in range(d + 1):
                 yield Check(
                     f"{ds} i={i}: skip-1 witnesses at i+1 split off the "
                     f"shorter set's witnesses",
-                    oracle.count_onto_upper(ds, i + 1),
-                    oracle.count_onto_full(ds, i)
-                    + oracle.count_coeff_witnesses(ds.without_largest, i),
+                    table[i + 1][0] if i < d else 0,
+                    table[i][1] + (sum(shorter[i]) if i < len(shorter) else 0),
                 )
         point = formulas.stabilization_point(ds)
         for n in range(d, d + 3):
@@ -417,7 +428,7 @@ def witness_split_report(top: int = 5) -> Iterator[Check]:
                 f"{ds} n={n}: last-value counts sum to the stabilized "
                 f"enumeration",
                 oracle.count_prefix(ds, n, point),
-                sum(oracle.count_last_fixed(ds, n, j) for j in range(2, n + 1)),
+                sum(oracle.last_value_counts(ds, n)[1:]),
             )
 
 

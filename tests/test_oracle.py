@@ -29,7 +29,11 @@ from multidescent.oracle import (
     count_onto_upper,
     count_prefix,
     descent_histogram,
+    last_value_counts,
+    witness_counts,
     _count_words,
+    _last_counts,
+    _witness_counts,
 )
 from multidescent.verify import descent_sets_up_to
 
@@ -114,7 +118,8 @@ def test_descent_histogram_matches_the_permutation_set_whole():
 
 def test_descent_histogram_counts_each_word_by_one_increment():
     # 7,484,400 words: one next-permutation step per word needs about twice
-    # this bound, one counter increment per word well under it
+    # this bound; packed counter rows, one integer addition per walked
+    # prefix, stay well under it
     start = time.process_time()
     histogram = descent_histogram(6, 2)
     assert time.process_time() - start < 3
@@ -272,6 +277,30 @@ def test_walk_charges_match_a_product_reference():
             refused = f"max_work = {least_work - 1}$"
             with pytest.raises(BudgetExceededError, match=refused):
                 _count_words(ds, caps, budget=EnumerationBudget(least_work - 1))
+
+
+def test_tally_kernels_charge_like_the_product_reference():
+    # the witness table walks the words over 1..max(I)+1 and the last-value
+    # tally those over 1..n, each value free: the least max_work that
+    # answers is the reference charge of the same caps, as for the per-index
+    # counters, and the last-value kernel keeps it under binding caps too
+    for ds in descent_sets_up_to(6):
+        d = ds.largest
+        least_work = _walk_charge(ds, (d,) * (d + 1))
+        table = witness_counts(ds)
+        assert _witness_counts(ds, EnumerationBudget(least_work)) == table
+        if least_work > 1:
+            refused = f"max_work = {least_work - 1}$"
+            with pytest.raises(BudgetExceededError, match=refused):
+                _witness_counts(ds, EnumerationBudget(least_work - 1))
+        for caps in ((d,) * 2, (d,) * (d + 1), (2, 1, 3, 1), (0, 2, 1, 2)):
+            least_work = _walk_charge(ds, caps)
+            tally = _last_counts(ds, caps)
+            assert _last_counts(ds, caps, EnumerationBudget(least_work)) == tally
+            if least_work > 1:
+                refused = f"max_work = {least_work - 1}$"
+                with pytest.raises(BudgetExceededError, match=refused):
+                    _last_counts(ds, caps, EnumerationBudget(least_work - 1))
 
 
 def test_count_prefix_agrees_with_count_naive_on_a_small_grid():
@@ -438,9 +467,33 @@ def test_walk_counters_match_a_product_reference():
             ), (ds, i)
 
 
+def test_tallies_match_a_product_reference():
+    # both one-walk tallies, against words listed by itertools.product: the
+    # witness table's two sides by their value sets, the last-value tally by
+    # last value, at every n up to max(I) + 2
+    for ds in descent_sets_up_to(5):
+        d = ds.largest
+        words = list(_pattern_reference(ds, d + 2))
+        expected = []
+        for i in range(d + 1):
+            upper = set(range(2, i + 2))
+            expected.append(
+                (
+                    sum(1 for w in words if set(w) == upper),
+                    sum(1 for w in words if w[-1] != 1 and set(w) == upper | {1}),
+                )
+            )
+        assert witness_counts(ds) == tuple(expected), ds
+        for n in range(1, d + 3):
+            lasts = Counter(w[-1] for w in words if max(w) <= n)
+            expected = tuple(lasts[j] for j in range(1, n + 1))
+            assert last_value_counts(ds, n) == expected, (ds, n)
+
+
 def test_count_words_counts_every_word():
     # the last three positions are counted outside the walk; every capped word
-    # must still count once for each last value and needed set it meets
+    # must still count once for its last value, and once for each needed set
+    # it meets when it ends above 1
     for ds in descent_sets_up_to(5):
         for caps in ((1, 2, 1), (0, 2, 3), (2, 0, 1, 2), (ds.largest,) * 3):
             values = range(1, len(caps) + 1)
@@ -449,15 +502,17 @@ def test_count_words_counts_every_word():
                 for w in _pattern_reference(ds, len(caps))
                 if all(w.count(v) <= caps[v - 1] for v in values)
             )
-            for j in values:
-                for need in range(0, 2 << len(caps), 2):
-                    expected = sum(
-                        count
-                        for (last, held), count in words.items()
-                        if last == j and need & ~held == 0
-                    )
-                    counted = _count_words(ds, caps, 1 << j, need)
-                    assert counted == expected, (ds, caps, j, need)
+            by_last = [0] * (len(caps) + 1)
+            for (last, _), count in words.items():
+                by_last[last] += count
+            assert _last_counts(ds, caps) == by_last, (ds, caps)
+            for need in range(0, 2 << len(caps), 2):
+                expected = sum(
+                    count
+                    for (last, held), count in words.items()
+                    if last != 1 and need & ~held == 0
+                )
+                assert _count_words(ds, caps, need) == expected, (ds, caps, need)
 
 
 def test_count_prefix_matches_a_product_reference():

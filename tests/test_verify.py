@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from multidescent import polybasis, verify
+from multidescent import oracle, polybasis, verify
 from multidescent.core import DescentSet, DomainError
 from multidescent.verify import Check, Report
 
@@ -97,6 +97,55 @@ def test_window_report_flags_a_zero_inside_the_window(monkeypatch):
     monkeypatch.setattr(polybasis, "extract_coeffs", rigged)
     failed = [c.claim for c in verify.window_report(top=2).failures]
     assert "{2}: coefficient 1 inside window [1,2] is positive" in failed
+
+
+def _failed(report):
+    return {c.claim for c in report.failures}
+
+
+def test_a_wrong_witness_table_fails_the_window_and_split_reports(monkeypatch):
+    # one too many onto-upper witnesses at the largest index of every set
+    real = oracle.witness_counts
+
+    def rigged(ds):
+        table = list(real(ds))
+        upper, full = table[-1]
+        table[-1] = (upper + 1, full)
+        return tuple(table)
+
+    monkeypatch.setattr(oracle, "witness_counts", rigged)
+    assert "{2}: coefficient 2 equals the witness count" in _failed(
+        verify.window_report(top=2)
+    )
+    assert "{2} i=2: witnesses split by whether value 1 appears" in _failed(
+        verify.witness_split_report(top=2)
+    )
+
+
+def test_a_wrong_last_value_tally_fails_last_fixed_and_split_reports(monkeypatch):
+    # one too many words ending in n, for every set and n
+    real = oracle.last_value_counts
+
+    def rigged(ds, n):
+        counts = real(ds, n)
+        return counts[:-1] + (counts[-1] + 1,)
+
+    monkeypatch.setattr(oracle, "last_value_counts", rigged)
+    assert "{2} n=3 j=3: last-value formula matches enumeration" in _failed(
+        verify.last_fixed_report(top=2)
+    )
+    assert "{2} n=3: last-value counts sum to the stabilized enumeration" in _failed(
+        verify.witness_split_report(top=2)
+    )
+
+
+def test_a_wrong_onto_upper_walk_fails_the_split_report(monkeypatch):
+    # the per-index walks are the split check's other side
+    real = oracle.count_onto_upper
+    monkeypatch.setattr(oracle, "count_onto_upper", lambda ds, i: real(ds, i) + 1)
+    assert "{2} i=1: witnesses split by whether value 1 appears" in _failed(
+        verify.witness_split_report(top=2)
+    )
 
 
 def test_prefix_signs_report_passes():
