@@ -24,7 +24,8 @@ print(f"nonzero exactly for i in [{ds.longest_run}, {ds.largest}]")
 
 # each coefficient counts words over 1..i+1 that hit every value above 1,
 # end above 1, and have the prescribed descents; one walk tallies every
-# index, split by whether the word holds 1, and each index's own walk agrees
+# index, split by whether the word holds 1, and each index's counter, read
+# off the last-value tallies by inclusion-exclusion, agrees
 table = witness_counts(ds)
 for i, (upper, full) in enumerate(table):
     witnesses = upper + full

@@ -83,10 +83,13 @@ def _insert_values(
     """The DP of :func:`bounded_sequence_count`; return its count and
     ``moves`` plus the work of the transitions made, raising past the
     budget.  A transition costs the 64-bit words of its masks,
-    1 + ``largest`` // 64."""
+    1 + ``largest`` // 64; the first value always makes one, so a DP that
+    cannot afford it is refused before any mask is built."""
     limit = budget.max_work
     length = descents.largest
     cost = 1 + length // 64
+    if moves + cost > limit:
+        raise budget.refusal("transitions of the insertion DP")
     full = (1 << (length + 1)) - 2  # bit q stands for position q
     drops = sum(1 << p for p in descents.elements[:-1])
     after_rise = (full & ~drops & ~(1 << length)) << 1  # q-1 to q may not drop

@@ -394,9 +394,9 @@ def evaluation_report(top: int = 6) -> Iterator[Check]:
 def witness_split_report(top: int = 6) -> Iterator[Check]:
     """Decompositions of the witness counts.
 
-    Each witness count splits by whether the value 1 appears: the count
-    read off :func:`oracle.witness_counts` equals the per-index
-    ``count_onto_upper`` and ``count_onto_full`` walks added.  The part
+    Each witness count splits by whether the value 1 appears: the pair
+    read off :func:`oracle.witness_counts` equals the pair
+    :func:`oracle.onto_counts` reads off the last-value tallies.  The part
     that skips 1 at the next index equals the full part plus the witness
     count of the descent set without its largest element; both sets' counts
     come from their tables, which read 0 past their end, where a word of
@@ -407,11 +407,12 @@ def witness_split_report(top: int = 6) -> Iterator[Check]:
     for ds in descent_sets_up_to(top):
         d = ds.largest
         table = oracle.witness_counts(ds)
+        onto = oracle.onto_counts(ds, d)
         for i in range(d + 1):
             yield Check(
                 f"{ds} i={i}: witnesses split by whether value 1 appears",
-                sum(table[i]),
-                oracle.count_onto_upper(ds, i) + oracle.count_onto_full(ds, i),
+                table[i],
+                onto[i],
             )
         if len(ds) >= 2:
             shorter = oracle.witness_counts(ds.without_largest)

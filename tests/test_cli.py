@@ -332,6 +332,26 @@ def test_count_recurrence_reaches_a_descent_at_1100():
     assert proc.stdout.split() == ["recurrence", str(comb(1200, 1100) - 1)]
 
 
+def test_count_recurrence_refuses_a_huge_set_without_a_traceback():
+    # building the DP's masks once ended in a MemoryError traceback (exit 1)
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "multidescent",
+            "count", "--set", "99999999999", "--n", "2", "--m", "99999999999",
+            "--method", "recurrence",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_BUDGET, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "budget exceeded: transitions of the insertion DP, "
+        "more than max_work = 10000000\n"
+    )
+
+
 def test_count_prefix_ends_within_its_budget_at_a_descent_at_1100():
     # a scan past the used-up values once followed every word uncharged:
     # the default budget's walk then ran for minutes

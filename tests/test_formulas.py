@@ -1,5 +1,8 @@
 """Closed forms and the recurrence against enumerative ground truth."""
 
+import json
+import subprocess
+import sys
 import time
 from itertools import product
 from math import comb, factorial, prod
@@ -225,6 +228,38 @@ def test_descent_count_charges_a_transition_the_words_of_its_masks():
     with pytest.raises(BudgetExceededError, match="max_work = 10000000$"):
         descent_count(DescentSet((8000,)), 2, 8000)
     assert time.process_time() - start < 2
+
+
+def test_descent_count_refuses_before_building_its_masks():
+    # one transition on 10**9-bit masks is over the default budget; the
+    # masks once took 905 MB and 1.5 s before that refusal, or a MemoryError
+    script = """
+import json, resource, time
+from multidescent.core import BudgetExceededError, DescentSet
+from multidescent.formulas import descent_count
+out = []
+for point in (99999999999, 10**9):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    start = time.perf_counter()
+    try:
+        descent_count(DescentSet((point,)), 2, point)
+    except BudgetExceededError as exc:
+        message = str(exc)
+    seconds = time.perf_counter() - start
+    rise_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    out.append([message, seconds, rise_kb])
+print(json.dumps(out))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    for message, seconds, rise_kb in json.loads(proc.stdout):
+        assert message == (
+            "transitions of the insertion DP, more than max_work = 10000000"
+        )
+        assert seconds < 0.1
+        assert rise_kb < 4096  # one mask alone would be 125 MB
 
 
 def test_descent_count_refusal_threshold_past_one_mask_word():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multidescent import oracle
 from multidescent.core import BudgetExceededError, DescentSet, DomainError, descent_set
 from multidescent.formulas import stabilization_point
 from multidescent.schur import count_via_jacobi_trudi
@@ -30,8 +31,8 @@ from multidescent.oracle import (
     count_prefix,
     descent_histogram,
     last_value_counts,
+    onto_counts,
     witness_counts,
-    _count_words,
     _last_counts,
     _witness_counts,
 )
@@ -255,7 +256,7 @@ def _walk_charge(ds, caps):
 
 def test_walk_charges_match_a_product_reference():
     # the least max_work that answers is the reference charge, on a whole
-    # grid, for the prefix route and for the counting kernel
+    # grid, for the prefix route
     for ds in descent_sets_up_to(6):
         for n in range(1, 5):
             for m in range(1, 4):
@@ -269,21 +270,13 @@ def test_walk_charges_match_a_product_reference():
                         BudgetExceededError, match=f"max_work = {least_work - 1}$"
                     ):
                         count_prefix(ds, n, m, EnumerationBudget(least_work - 1))
-        for caps in ((2, 1, 3, 1), (0, 2, 1, 2)):
-            least_work = _walk_charge(ds, caps)
-            expected = _count_words(ds, caps)
-            answered = _count_words(ds, caps, budget=EnumerationBudget(least_work))
-            assert answered == expected
-            refused = f"max_work = {least_work - 1}$"
-            with pytest.raises(BudgetExceededError, match=refused):
-                _count_words(ds, caps, budget=EnumerationBudget(least_work - 1))
 
 
 def test_tally_kernels_charge_like_the_product_reference():
     # the witness table walks the words over 1..max(I)+1 and the last-value
     # tally those over 1..n, each value free: the least max_work that
-    # answers is the reference charge of the same caps, as for the per-index
-    # counters, and the last-value kernel keeps it under binding caps too
+    # answers is the reference charge of the same caps, as for the prefix
+    # route, and the last-value kernel keeps it under binding caps too
     for ds in descent_sets_up_to(6):
         d = ds.largest
         least_work = _walk_charge(ds, (d,) * (d + 1))
@@ -469,8 +462,9 @@ def test_walk_counters_match_a_product_reference():
 
 def test_tallies_match_a_product_reference():
     # both one-walk tallies, against words listed by itertools.product: the
-    # witness table's two sides by their value sets, the last-value tally by
-    # last value, at every n up to max(I) + 2
+    # witness table's two sides by their value sets, and its inclusion-
+    # exclusion twin with one padded row past max(I); the last-value tally
+    # by last value, at every n up to max(I) + 2
     for ds in descent_sets_up_to(5):
         d = ds.largest
         words = list(_pattern_reference(ds, d + 2))
@@ -484,35 +478,24 @@ def test_tallies_match_a_product_reference():
                 )
             )
         assert witness_counts(ds) == tuple(expected), ds
+        assert onto_counts(ds, d + 1) == (*expected, (0, 0)), ds
         for n in range(1, d + 3):
             lasts = Counter(w[-1] for w in words if max(w) <= n)
             expected = tuple(lasts[j] for j in range(1, n + 1))
             assert last_value_counts(ds, n) == expected, (ds, n)
 
 
-def test_count_words_counts_every_word():
+def test_last_counts_counts_every_capped_word():
     # the last three positions are counted outside the walk; every capped word
-    # must still count once for its last value, and once for each needed set
-    # it meets when it ends above 1
+    # must still count once for its last value
     for ds in descent_sets_up_to(5):
         for caps in ((1, 2, 1), (0, 2, 3), (2, 0, 1, 2), (ds.largest,) * 3):
             values = range(1, len(caps) + 1)
-            words = Counter(
-                (w[-1], sum(1 << v for v in set(w)))
-                for w in _pattern_reference(ds, len(caps))
-                if all(w.count(v) <= caps[v - 1] for v in values)
-            )
             by_last = [0] * (len(caps) + 1)
-            for (last, _), count in words.items():
-                by_last[last] += count
+            for w in _pattern_reference(ds, len(caps)):
+                if all(w.count(v) <= caps[v - 1] for v in values):
+                    by_last[w[-1]] += 1
             assert _last_counts(ds, caps) == by_last, (ds, caps)
-            for need in range(0, 2 << len(caps), 2):
-                expected = sum(
-                    count
-                    for (last, held), count in words.items()
-                    if last != 1 and need & ~held == 0
-                )
-                assert _count_words(ds, caps, need) == expected, (ds, caps, need)
 
 
 def test_count_prefix_matches_a_product_reference():
@@ -554,29 +537,53 @@ def test_walks_refuse_a_huge_alphabet_or_word_before_allocating():
 def test_walks_refuse_a_range_before_working_through_it():
     # each first range alone is over the default budget, and it is charged
     # before a word of it is counted, so the refusal comes at once however
-    # wide the alphabet
+    # wide the alphabet; a witness index past max(I) walks only the values
+    # a word can hold, and reads 0
     over = "max_work = 10000000"
     for ds in (DescentSet((2,)), DescentSet((1, 2))):
         with pytest.raises(BudgetExceededError, match=over):
-            _count_words(ds, (1,) * 10**6)
+            _last_counts(ds, (1,) * 10**6)
         with pytest.raises(BudgetExceededError, match=over):
-            _count_words(ds, (2,) * 10**5)
+            _last_counts(ds, (2,) * 10**5)
         with pytest.raises(BudgetExceededError, match=over):
             count_prefix(ds, 10**6, 1)
-        with pytest.raises(BudgetExceededError, match=over):
-            count_coeff_witnesses(ds, 10**5)
+        assert count_coeff_witnesses(ds, 10**5) == 0
 
 
 @pytest.mark.parametrize(
     "counter", [count_coeff_witnesses, count_onto_upper, count_onto_full]
 )
 def test_witness_counters_skip_the_value_test_once_it_cannot_hold(counter):
-    # one word of length 2 holds at most 2 values, never all of 2..2001; the
-    # walk still runs and charges its two million words, but none of them
-    # is counted or listed
+    # one word of length 2 holds at most 2 values, never all of 2..2001, so
+    # only the words over 1..3 are walked, and row 2000 reads 0
     start = time.process_time()
     assert counter(DescentSet((2,)), 2000) == 0
     assert time.process_time() - start < 0.1
+
+
+def test_onto_counts_walks_widest_first_and_stops_at_a_refusal(monkeypatch):
+    # with t' = min(i, max(I)) the tallies run over t'+1, t', ..., 1 values;
+    # a refusal of the first, widest walk is raised before any other walk
+    real = oracle.last_value_counts
+    seen = []
+
+    def recording(ds, n):
+        seen.append(n)
+        return real(ds, n)
+
+    monkeypatch.setattr(oracle, "last_value_counts", recording)
+    for elements, i, order in (
+        ((3,), 0, [1]),
+        ((2, 3), 1, [2, 1]),
+        ((2, 3), 9, [4, 3, 2, 1]),
+    ):
+        seen.clear()
+        onto_counts(DescentSet(elements), i)
+        assert seen == order, (elements, i)
+    seen.clear()
+    with pytest.raises(BudgetExceededError, match="max_work = 10000000$"):
+        onto_counts(DescentSet((10**8,)), 3)
+    assert seen == [4]
 
 
 def test_witness_counters_refuse_before_building_their_caps():

@@ -140,9 +140,17 @@ def test_a_wrong_last_value_tally_fails_last_fixed_and_split_reports(monkeypatch
 
 
 def test_a_wrong_onto_upper_walk_fails_the_split_report(monkeypatch):
-    # the per-index walks are the split check's other side
-    real = oracle.count_onto_upper
-    monkeypatch.setattr(oracle, "count_onto_upper", lambda ds, i: real(ds, i) + 1)
+    # the inclusion-exclusion table is the split check's other side: one too
+    # many onto-upper witnesses at index 1
+    real = oracle.onto_counts
+
+    def rigged(ds, i):
+        table = list(real(ds, i))
+        upper, full = table[1]
+        table[1] = (upper + 1, full)
+        return tuple(table)
+
+    monkeypatch.setattr(oracle, "onto_counts", rigged)
     assert "{2} i=1: witnesses split by whether value 1 appears" in _failed(
         verify.witness_split_report(top=2)
     )
