@@ -48,10 +48,12 @@ class EnumerationBudget:
     arrangements, a word walk the values it places or offers to the last
     position, the recurrence the (state, T) transitions of all its levels'
     DPs, each weighted by the 64-bit words of its masks (1 + ``largest`` //
-    64), the Jacobi-Trudi chain its placements, and coefficient extraction,
-    against the default budget, its closed-form products and difference-table
-    subtractions.  Passing it raises ``BudgetExceededError`` naming
-    ``max_work``."""
+    64), the Jacobi-Trudi chain its placements plus, for each state it
+    stores, the 64-bit words of the state's packed key past the first (so
+    the budget bounds the memory its keys take), and coefficient
+    extraction, against the default budget, its closed-form products and
+    difference-table subtractions.  Passing it raises
+    ``BudgetExceededError`` naming ``max_work``."""
 
     max_work: int = 10_000_000
 
@@ -641,6 +643,15 @@ def onto_counts(descents: DescentSet, i: int) -> tuple[tuple[int, int], ...]:
     return (*rows, *((0, 0),) * (i - top))
 
 
+def _onto_row(descents: DescentSet, i: int) -> tuple[int, int]:
+    """Row i of :func:`onto_counts`, read off the rows up to min(i,
+    ``largest``) so that no padding row past ``largest`` is built: (0, 0)
+    there.  The index is checked, and refused when too wide, first."""
+    _free_values(i)
+    rows = onto_counts(descents, min(i, descents.largest))
+    return rows[i] if i < len(rows) else (0, 0)
+
+
 def count_coeff_witnesses(descents: DescentSet, i: int) -> int:
     """Count the words witnessing coefficient ``i`` in the offset -1 base.
 
@@ -650,7 +661,7 @@ def count_coeff_witnesses(descents: DescentSet, i: int) -> int:
     The sum of row i of :func:`onto_counts`, so 0 for ``i`` above
     ``largest``, where a word cannot hold every value asked for.
     """
-    return sum(onto_counts(descents, i)[i])
+    return sum(_onto_row(descents, i))
 
 
 def count_onto_upper(descents: DescentSet, i: int) -> int:
@@ -660,10 +671,10 @@ def count_onto_upper(descents: DescentSet, i: int) -> int:
     For i = 0 the value set is empty and no word of positive length exists,
     so the count is 0 by convention.
     """
-    return onto_counts(descents, i)[i][0]
+    return _onto_row(descents, i)[0]
 
 
 def count_onto_full(descents: DescentSet, i: int) -> int:
     """Witness words using all of {1, ..., i+1} with last value not 1: the
     second entry of row i of :func:`onto_counts`."""
-    return onto_counts(descents, i)[i][1]
+    return _onto_row(descents, i)[1]

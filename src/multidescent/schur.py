@@ -11,8 +11,13 @@ It is symmetric in the rows, so one signed chain over the prefix ends of
 the descent set fills row blocks into multisets of column fills, and n
 enters only through binomials.  The chain is pushed: the states grouped at
 one end are complete once every earlier end has added into them, and then
-each is searched once, placing the rows to all later ends together.
-``jacobi_trudi_terms`` lists the terms.
+each is searched once, placing the rows to all later ends together.  A
+state is one ``int`` whose digit f, ``n.bit_length()`` bits wide, counts
+the columns of fill f, so moving columns between fills is two shifts and
+a sum.  The last end is only ever summed, so its placements go into one
+running total and none of its states is stored; each state that is stored
+is charged its 64-bit words past the first, which bounds the chain's
+memory by the budget.  ``jacobi_trudi_terms`` lists the terms.
 """
 
 from __future__ import annotations
@@ -100,7 +105,8 @@ def rect_coeff(h_degrees: Sequence[int], n: int, m: int) -> int:
     whose n columns each sum to m: zero unless the degrees, nonnegative
     ``int`` values (nothing is coerced), sum to n*m.  The rows are placed
     one length at a time by the kernel of the determinant route, largest
-    last, which fills what every column lacks in exactly one way; the
+    last, which fills what every column lacks in exactly one way, so the
+    placements of the second-largest row are summed, not stored.  The
     placements are charged to the default budget's ``max_work``.  No
     counting route uses it: only demo 04, the tests and the bench's
     ``schur.rect_coeff`` rows do.
@@ -109,52 +115,82 @@ def rect_coeff(h_degrees: Sequence[int], n: int, m: int) -> int:
     degrees = strict_ints(h_degrees, "degrees", 0)
     if sum(degrees) != n * m:
         return 0
-    states = {(): 1}
+    *rows, _ = sorted(d for d in degrees if d)  # the largest is not placed
+    if not rows:
+        return 1  # one row fills every column
+    states = {0: 1}
     spent = 0
-    for q in sorted(d for d in degrees if d)[:-1]:
-        reached: dict[tuple[int, ...], int] = {}
-        spent = _place_rows(states, {q: reached}, n, m, spent, DEFAULT_BUDGET)
+    for q in rows[:-1]:
+        reached: dict[int, int] = {}
+        spent, _ = _place_rows(states, {q: reached}, None, n, m, spent, DEFAULT_BUDGET)
         states = reached
-    return sum(states.values())
+    return _place_rows(states, {}, rows[-1], n, m, spent, DEFAULT_BUDGET)[1]
 
 
 def _place_rows(
-    states: dict, into: dict, n: int, m: int, spent: int, budget: EnumerationBudget
-) -> int:
+    states: dict[int, int],
+    into: dict[int, dict[int, int]],
+    last: int | None,
+    n: int,
+    m: int,
+    spent: int,
+    budget: EnumerationBudget,
+) -> tuple[int, int]:
     """Add one row to every state for each row length q in ``into``, summing
-    the results into ``into[q]``; return ``spent`` plus the placements made,
-    raising past the budget.
+    the results into ``into[q]``, and for ``last``, when given and longer
+    than every q, into one running total; return ``spent`` plus the
+    placements made, raising past the budget, and that total.
 
-    A state is the ascending tuple of the positive column fills (parts <= m,
-    at most n of them), weighted by the matrices so far that reach it.  The
-    g columns of fill u, for u = 0 the n - len unused ones, form a class: the
-    row gives k_1 of them one more unit, k_2 of the rest two, ... up to m - u,
-    in comb(g, k_1) * comb(g - k_1, k_2) * ... ways.  One search per state
-    makes these choices class by class for every length at once: a node
-    whose units reach a length q by an increment is one placement of q, and
-    it goes on placing units for the longer lengths.  A frame is a node and
-    the least increment it may still try; popping it pushes the node's next
-    increment, or past the last one its move to the next class, then its
-    children, so the stack holds a few frames per node of the current path.
-    No frame is pushed whose units cannot reach the nearest length above
-    them, the least demanding one, and empty and full classes are skipped.
+    A state is one ``int`` of fill counts, weighted by the matrices so far
+    that reach it: its digit f, ``b = n.bit_length()`` bits wide at bit
+    b * (f - 1), counts the columns of fill f for f = 1..m, and the other
+    columns, n less the digits' sum, hold 0.  The g columns of fill u form a
+    class: the row gives k_1 of them one more unit, k_2 of the rest two, ...
+    up to m - u, in comb(g, k_1) * comb(g - k_1, k_2) * ... ways, and moving
+    k columns from fill u to u + t adds k at digit u + t and takes it from
+    digit u.  The classes are read off the key from its lowest set bit up.
+    One search per state makes these choices class by class for every
+    length at once: a node whose units reach a length q by an increment is
+    one placement of q, and it goes on placing units for the longer lengths.
+    A node past every length in ``into`` builds no key.  A frame is a node
+    and the least increment it may still try; popping it pushes the node's
+    next increment, or past the last one its move to the next class, then
+    its children, so the stack holds a few frames per node of the current
+    path.  No frame is pushed whose units cannot reach the nearest length
+    above them, the least demanding one, and empty and full classes are
+    skipped.  A key grows with its largest fill, so each state first stored
+    costs ``(key.bit_length() - 1) // 64`` more units, none for a key of one
+    64-bit word.
     """
     cap = budget.max_work
-    lengths = sorted(into)
+    lengths = sorted(into) if last is None else [*sorted(into), last]
     top = lengths[-1]
-    for fills, weight in states.items():
-        classes = [(0, n - len(fills), fills)] if n > len(fills) else []
-        for u in sorted(set(fills) - {m}):  # full columns take nothing more
-            g = fills.count(u)
-            classes.append((u, g, fills[fills.index(u) + g :]))  # fills above u
+    keep = max(into, default=0)  # no node past it needs its key
+    b = n.bit_length()
+    mask = (1 << b) - 1
+    total = 0
+    for key, weight in states.items():
+        classes = []  # fill, columns, bit of the fill's digit
+        used = 0
+        x = key
+        while x:
+            u = ((x & -x).bit_length() - 1) // b + 1
+            low = b * (u - 1)
+            g = x >> low & mask
+            x ^= g << low
+            used += g
+            if u < m:  # full columns take nothing more
+                classes.append((u, g, low))
+        if used < n:
+            classes.insert(0, (0, n - used, -b))
         room = [0] * (len(classes) + 1)  # units that classes c.. can still take
         for c in range(len(classes) - 1, -1, -1):
             room[c] = room[c + 1] + classes[c][1] * (m - classes[c][0])
-        # class, least increment, its columns left, units placed, ways, fills
-        stack = [(0, 1, classes[0][1], 0, weight, ())] if room[0] >= lengths[0] else []
+        # class, least increment, its columns left, units placed, ways, key
+        stack = [(0, 1, classes[0][1], 0, weight, key)] if room[0] >= lengths[0] else []
         while stack:
-            c, t, free, placed, ways, done = stack.pop()
-            u, _, rest = classes[c]
+            c, t, free, placed, ways, cur = stack.pop()
+            u, _, low = classes[c]
             left = lengths[bisect_right(lengths, placed)] - placed  # to the next length
             # k columns at +t leave room for the rest iff k * (span - t) <= slack,
             # so no t below span - slack places anything
@@ -162,27 +198,40 @@ def _place_rows(
             slack = free * span + room[c + 1] - left
             if t < span - slack:
                 t = span - slack
-            stop = min(span, top - placed)
+            over = top - placed  # units to the longest length
+            stop = span if span < over else over
             if t < stop:
-                stack.append((c, t + 1, free, placed, ways, done))
+                stack.append((c, t + 1, free, placed, ways, cur))
             elif room[c + 1] >= left:
-                stack.append((c + 1, 1, classes[c + 1][1], placed, ways,
-                              done + (u,) * free if u else done))
+                stack.append((c + 1, 1, classes[c + 1][1], placed, ways, cur))
             if t > stop:
                 continue
-            for k in range(1, min(free, (top - placed) // t) + 1):
+            up = low + b * t  # bit of the digit the moved columns reach
+            most = over // t
+            for k in range(1, (free if free < most else most) + 1):
                 if k * (span - t) > slack:
                     break  # k columns stuck at +t leave too little room
                 p = placed + k * t
                 w = ways * comb(free, k)
-                d = done + (u + t,) * k
-                target = into.get(p)
-                if target is not None:
+                if p == last:
                     spent += 1
                     if spent > cap:
                         raise budget.refusal("Jacobi-Trudi placements")
-                    key = tuple(sorted(d + (u,) * (free - k) + rest if u else d + rest))
-                    target[key] = target.get(key, 0) + w
+                    total += w
+                    continue
+                d = 0
+                if p <= keep:
+                    d = cur + (k << up) - (k << low if u else 0)
+                    target = into.get(p)
+                    if target is not None:
+                        old = target.get(d)
+                        if old is None:
+                            spent += d.bit_length() - 1 >> 6
+                            old = 0
+                        spent += 1
+                        if spent > cap:
+                            raise budget.refusal("Jacobi-Trudi placements")
+                        target[d] = old + w
                 if p == top:
                     continue
                 # a child with no larger increment left here moves straight on,
@@ -190,9 +239,8 @@ def _place_rows(
                 if k < free and t < span and t < top - p:
                     stack.append((c, t + 1, free - k, p, w, d))
                 elif room[c + 1] >= lengths[bisect_right(lengths, p)] - p:
-                    stack.append((c + 1, 1, classes[c + 1][1], p, w,
-                                  d + (u,) * (free - k) if u else d))
-    return spent
+                    stack.append((c + 1, 1, classes[c + 1][1], p, w, d))
+    return spent, total
 
 
 def count_via_jacobi_trudi(
@@ -202,26 +250,31 @@ def count_via_jacobi_trudi(
 
     A coarsening of the ribbon's rows is a chain through the prefix ends
     0 = e_0 < ... < e_k = largest plus a top block.  Grouping the chains by
-    their last end, G[0] = {(): 1} and G[j] = -sum_{i<j} (G[i] with a row of
-    e_j - e_i placed).  The chain is pushed, not pulled: once every i' < i
+    their last end, G[0] is the empty state (key 0) of weight 1 and G[j] =
+    -sum_{i<j} (G[i] with a row of e_j - e_i placed).  The chain is pushed, not pulled: once every i' < i
     has added into G[i], it is complete, and one search per state of G[i]
     places the rows of every length e_j - e_i, j > i, at once.  The top
     block fills every column up to m in one way, so the count is (-1)**k
-    times the total weight of all the G[i], so 1 for the empty set.  When
-    n*m <= largest there is no ribbon and no word: the count is 0, as on
-    every other route.  ``max_work`` caps the placements of the whole chain.
+    times the total weight of all the G[i], so 1 for the empty set; G[k] is
+    only ever summed, so its placements go into one running total and no
+    state of it is stored.  When n*m <= largest there is no ribbon and no
+    word: the count is 0, as on every other route.  ``max_work`` caps the
+    placements of the whole chain, plus the extra 64-bit words of each
+    state it stores.
     """
     require_positive(n=n, m=m)
-    if descents and descents.largest >= n * m:
+    if not descents:
+        return 1  # the one sorted word
+    if descents.largest >= n * m:
         return 0  # no successor position left for the final descent
     budget = budget or DEFAULT_BUDGET
     spent = total = 0
     ends = (0, *descents.elements)
-    reached = [{(): -1}, *({} for _ in descents)]  # G[0] negated, like the rest
-    for i, e in enumerate(ends):
+    reached = [{0: -1}, *({} for _ in ends[2:])]  # G[0] negated, like the rest
+    for i, e in enumerate(ends[:-1]):
         states = {key: -w for key, w in reached.pop(0).items() if w}
         total += sum(states.values())
-        if reached:
-            later = {f - e: into for f, into in zip(ends[i + 1 :], reached)}
-            spent = _place_rows(states, later, n, m, spent, budget)
+        later = {f - e: into for f, into in zip(ends[i + 1 :], reached)}
+        spent, placed = _place_rows(states, later, ends[-1] - e, n, m, spent, budget)
+        total -= placed
     return -total if len(descents) % 2 else total

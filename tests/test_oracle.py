@@ -561,6 +561,22 @@ def test_witness_counters_skip_the_value_test_once_it_cannot_hold(counter):
     assert time.process_time() - start < 0.1
 
 
+@pytest.mark.parametrize(
+    "counter", [count_coeff_witnesses, count_onto_upper, count_onto_full]
+)
+def test_witness_counters_build_no_row_past_the_largest_descent(counter):
+    # row 9,999,999 of onto_counts would pad 10^7 rows of (0, 0), 160 MB,
+    # to read one 0; the counters read the rows up to max(I) only
+    tracemalloc = pytest.importorskip("tracemalloc")
+    tracemalloc.start()
+    try:
+        assert counter(DescentSet((2,)), 9_999_999) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_onto_counts_walks_widest_first_and_stops_at_a_refusal(monkeypatch):
     # with t' = min(i, max(I)) the tallies run over t'+1, t', ..., 1 values;
     # a refusal of the first, widest walk is raised before any other walk

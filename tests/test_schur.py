@@ -345,25 +345,83 @@ def test_count_via_jacobi_trudi_charges_each_placement_once(
         count_via_jacobi_trudi(ds, n, m, EnumerationBudget(placements - 1))
 
 
+def run_under_address_limit(megabytes, elements, n, m):
+    """Count (elements, n, m) by Jacobi-Trudi in a child process whose
+    address space is capped; return its exit code, stdout and stderr."""
+    cap = megabytes * 2**20
+    child = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from multidescent.core import BudgetExceededError, DescentSet\n"
+        "from multidescent.schur import count_via_jacobi_trudi\n"
+        "try:\n"
+        f"    print(count_via_jacobi_trudi(DescentSet({elements!r}), {n}, {m}))\n"
+        "except BudgetExceededError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_count_via_jacobi_trudi_keeps_its_stack_small():
     if not hasattr(pytest.importorskip("resource"), "RLIMIT_AS"):
         pytest.skip("no address-space limit here")
     # two columns share 10^6 units in 5 * 10^5 + 1 ways; a stack holding
     # every increment of a class at once needed more than 250 MB of address
-    # space, and the reached states take most of the 150 MB this search needs
-    cap = 200 * 2**20
-    child = (
-        "import resource\n"
-        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
-        "from multidescent.core import DescentSet\n"
-        "from multidescent.schur import count_via_jacobi_trudi\n"
-        "print(count_via_jacobi_trudi(DescentSet((10**6,)), 2, 10**6))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(10**6)]
+    # space.  These placements all reach the chain's last end, which is
+    # summed, not stored, so the search now holds no state at all
+    code, out, err = run_under_address_limit(200, (10**6,), 2, 10**6)
+    assert code == 0, err
+    assert out.split() == [str(10**6)]
+
+
+def test_count_via_jacobi_trudi_stores_no_state_of_its_last_end():
+    if not hasattr(pytest.importorskip("resource"), "RLIMIT_AS"):
+        pytest.skip("no address-space limit here")
+    # a single descent places only into the last end, whose placements are
+    # summed: the 5 * 10^5 states it reaches once took about 121 MB
+    code, out, err = run_under_address_limit(64, (10**6,), 2, 10**6)
+    assert code == 0, err
+    assert out.split() == [str(10**6)]
+
+
+def test_count_via_jacobi_trudi_charges_wide_keys_instead_of_running_out():
+    if not hasattr(pytest.importorskip("resource"), "RLIMIT_AS"):
+        pytest.skip("no address-space limit here")
+    # two columns of cap 10^6: each of the ~5 * 10^5 states of the end at
+    # 10^6 holds a fill of at least 5 * 10^5, a key of 10^6 bits or more,
+    # so stored uncharged they would take tens of GB; charged by their
+    # extra words the chain is refused long before that
+    code, out, err = run_under_address_limit(160, (10**6, 10**6 + 1), 2, 10**6)
+    assert code == 0, err
+    assert out.startswith(("refused: Jacobi-Trudi placements", "0\n")), out
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 7, 8, 15, 16, 2**37 - 1, 2**37]
+)
+def test_count_via_jacobi_trudi_at_the_digit_width_edges(n):
+    # a digit of the packed state is n.bit_length() bits wide, so it changes
+    # width just above n = 2^j - 1; at n near 2^37 a state of fill 3 or 4
+    # no longer fits one 64-bit word
+    for elements in [(1,), (3,), (2, 3), (1, 3, 4), (2, 4, 6), (1, 2, 3, 4, 5)]:
+        ds = DescentSet(elements)
+        for m in range(1, 5):
+            assert count_via_jacobi_trudi(ds, n, m) == descent_count(ds, n, m), (
+                elements, n, m
+            )
+
+
+def test_count_via_jacobi_trudi_charges_the_extra_words_of_a_state():
+    # 61 placements, and at n = 10^11 - 1 (37-bit digits) the stored state
+    # holding one column of fill 3 is a 75-bit key: one extra unit
+    ds, n = DescentSet((2, 4, 6)), 99999999999
+    value = count_via_jacobi_trudi(ds, n, 3, EnumerationBudget(62))
+    assert value == descent_count(ds, n, 3)
+    with pytest.raises(BudgetExceededError, match="max_work = 61$"):
+        count_via_jacobi_trudi(ds, n, 3, EnumerationBudget(61))
 
 
 def test_rect_coeff_charges_the_default_budget(monkeypatch):
