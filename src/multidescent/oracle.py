@@ -1,29 +1,28 @@
 """Brute-force counters that serve as ground truth for the formula routes.
 
-They count words one at a time or one range at a time, never by a formula
-of the routes they check, and they are trusted because the
-``itertools.product`` and permutation references in ``tests/test_oracle.py``
-agree with them.  :func:`descent_histogram` tallies every word of one
-(n, m): a word is a walked prefix joined to one arrangement of the values
-left over, and those arrangements are counted once per left-over multiset
-into rows of counters packed into one ``int`` each, so a prefix adds all
-its words by one integer addition.  :func:`count_naive` reads one set off
-it.  Every other counter counts over one walker, ``_pattern_walk``, which
-lists words with a prescribed drop pattern and per-value caps on an
-explicit stack, without memoization, and stops three positions short,
-handing over the third-to-last range with a bit mask of the values at
-their caps.  ``count_prefix`` places that value in a loop of its own and
-counts each second-to-last range after it at once, as sums of ranks.  Two
-kernels read the third-to-last values from ``_second_ranges``, which
-places and charges them, and place the second-to-last value in a loop of
-their own: ``_last_counts`` tallies the words by last value, and
-:func:`witness_counts` the witnesses of every coefficient index.
-:func:`onto_counts` reads the witnesses off the last-value tallies by
-inclusion-exclusion, so the two kernels check each other.  The budget is
-charged in one unit: 1 per value placed before the last position, and the
-size of each last range, each third-to-last value charged with its
-second-to-last range before its caller counts it; a word of two values has
-no third-to-last position, and its one range is counted without a walk.
+They count words one at a time, one range at a time or, in the histogram,
+one prefix state at a time, never by a formula of the routes they check, and
+they are trusted because the ``itertools.product`` and permutation
+references in ``tests/test_oracle.py`` agree with them.
+:func:`descent_histogram` tallies every word of one (n, m) by one
+left-to-right transfer over (values left, last value) states, each holding
+its words by descent mask, and :func:`count_naive` reads one set off it.
+Every other counter counts over one walker, ``_pattern_walk``, which lists
+words with a prescribed drop pattern and per-value caps on an explicit
+stack, without memoization, and stops three positions short, handing over
+the third-to-last range with a bit mask of the values at their caps.
+``count_prefix`` places that value in a loop of its own and counts each
+second-to-last range after it at once, as sums of ranks.  Two kernels read
+the third-to-last values from ``_second_ranges``, which places and charges
+them, and place the second-to-last value in a loop of their own:
+``_last_counts`` tallies the words by last value, and :func:`witness_counts`
+the witnesses of every coefficient index.  :func:`onto_counts` reads the
+witnesses off the last-value tallies by inclusion-exclusion, so the two
+kernels check each other.  The budget is charged in one unit: 1 per value
+placed before the last position, and the size of each last range, each
+third-to-last value charged with its second-to-last range before its caller
+counts it; a word of two values has no third-to-last position, and its one
+range is counted without a walk.
 """
 
 from __future__ import annotations
@@ -67,44 +66,6 @@ class EnumerationBudget:
 
 DEFAULT_BUDGET = EnumerationBudget()
 _WALK_WORK = "values placed by a word walk"  # what a walk's refusal names
-# The last positions of a word, listed once per left-over multiset: of 4..8,
-# 6 ran fastest at (n, m) = (4, 3) and (6, 2).
-TAIL = 6
-
-
-def _arrangements(word: list[int], cut: int) -> Iterator[int]:
-    """Step ``word``, sorted on entry, through every distinct arrangement of
-    its first ``cut`` values with the rest sorted after them, in
-    lexicographic order, and yield once per arrangement the descent mask of
-    those first values (bit p: a strict drop after position p + 1).
-
-    The list is stepped in place: read it at each yield, never change it.
-    Before each step the rest is reversed, its last arrangement, so the
-    next-permutation step must move the first ``cut`` values; a ``cut`` of
-    ``len(word)`` lists every arrangement.  A step at pivot i leaves the
-    positions before i alone and leaves those after i ascending, so only
-    the comparisons at i - 1 and i are made again: O(1) work per mask.
-    """
-    top = len(word) - 1
-    mask = 0  # the sorted word has no descent
-    while True:
-        yield mask
-        word[cut:] = word[cut:][::-1]
-        i = min(cut, top) - 1
-        while i >= 0 and word[i] >= word[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = top
-        while word[j] <= word[i]:
-            j -= 1
-        word[i], word[j] = word[j], word[i]
-        word[i + 1 :] = word[:i:-1]
-        mask &= ((1 << i) - 1) >> 1  # keep the bits below i - 1
-        if i and word[i - 1] > word[i]:
-            mask |= 1 << (i - 1)
-        if i + 1 < cut and word[i] > word[i + 1]:
-            mask |= 1 << i
 
 
 def descent_histogram(
@@ -112,76 +73,53 @@ def descent_histogram(
 ) -> dict[DescentSet, int]:
     """Tally the descent sets of all words holding each of 1..n exactly m times.
 
-    Every word is a prefix of its first ``cells - TAIL`` values (none when
-    ``cells <= TAIL``) joined to one arrangement of the values left over.
-    The distinct prefixes are walked once each, and the arrangements of
-    each distinct left-over multiset are listed once per call, by one
-    next-permutation walk that updates their descent mask in O(1) per
-    step, and counted once per (first value, mask).  A row of counters,
-    one per junction and tail mask (the junction bit is set when the
-    prefix's last value exceeds the tail's first), is packed into one
-    ``int``, a field of ``width`` bits per counter; ``width`` is the bit
-    length of the arrangement count, and no counter exceeds that count, so
-    no field overflows into the next.  The packed tails of each left-over
-    multiset are summed once per prefix last value, and each prefix adds
-    its tails into its mask's row by one integer addition.  Sets no word
-    realizes are absent; the masks become ``DescentSet`` keys once, at the
-    end.  Nothing is kept across calls.  Refuses to start when the
-    (n*m)! / (m!)**n arrangements, or the n*m cells of one word, exceed
-    the budget's ``max_work``.
+    One left-to-right transfer: a layer maps each state, the counts of the
+    values still to place and the last value placed, to the words of its
+    prefixes by descent mask (bit p: a strict drop after position p + 1).
+    Placing a value below the last one sets the bit of the drop, and only
+    two layers are alive at once.  A layer holds no more entries than there
+    are distinct prefixes of its length, so no more than the arrangements.
+    At the end the masks are merged across states and become
+    ``DescentSet`` keys; sets no word realizes are absent, and nothing is
+    kept across calls.  Refuses to start when the (n*m)! / (m!)**n
+    arrangements, or the n*m cells of one word, exceed the budget's
+    ``max_work``; the one word of n = 1 is answered without a walk.
     """
     require_positive(n=n, m=m)
     budget = budget or DEFAULT_BUDGET
     cells = n * m
+    work = f"full enumeration at n = {n}, m = {m}"
+    if cells > budget.max_work:
+        raise budget.refusal(work)
+    if n == 1:
+        return {DescentSet(): 1}  # the one sorted word
     arrangements = 1  # one copy of one value at a time: it never shrinks
     for size in range(1, cells + 1):
         arrangements = arrangements * size // ((size - 1) // n + 1)
-        if max(cells, arrangements) > budget.max_work:
-            raise budget.refusal(f"full enumeration at n = {n}, m = {m}")
-    cut = max(cells - TAIL, 0)  # the prefix length
-    width = arrangements.bit_length()
-    word = [v for v in range(1, n + 1) for _ in range(m)]
-    # left-over multiset -> its packed tails, indexed by the prefix's last
-    # value (0: no prefix, no junction descent); a mask's bit 0 is the
-    # junction and bit k + 1 the tail's drop after k + 1
-    tails: dict[tuple[int, ...], list[int]] = {}
-    rows: dict[int, int] = {}  # prefix mask -> its packed row
-    for prefix in _arrangements(word, cut):
-        left = tuple(word[cut:])
-        packed = tails.get(left)
-        if packed is None:
-            tail = list(left)
-            firsts: dict[int, dict[int, int]] = {}  # first -> mask -> count
-            for mask in _arrangements(tail, len(tail)):
-                counts = firsts.setdefault(tail[0], {})
-                counts[mask] = counts.get(mask, 0) + 1
-            # the fields at junction 0; one field further on sets the junction
-            ascents = {
-                first: sum(c << (mask << 1) * width for mask, c in counts.items())
-                for first, counts in firsts.items()
-            }
-            packed = tails[left] = [
-                sum(
-                    row << width if last > first else row
-                    for first, row in ascents.items()
-                )
-                for last in range(n + 1)
-            ]
-        last = word[cut - 1] if cut else 0
-        rows[prefix] = rows.get(prefix, 0) + packed[last]
-    histogram: dict[DescentSet, int] = {}
-    field = (1 << width) - 1
-    for prefix, row in rows.items():
-        mask = 0
-        while row:
-            count = row & field
-            if count:  # the junction is bit cut - 1, and 0 when cut is 0
-                full = prefix | (mask << cut) >> 1
-                elements = tuple(p + 1 for p in range(cells - 1) if full >> p & 1)
-                histogram[DescentSet(elements)] = count
-            row >>= width
-            mask += 1
-    return histogram
+        if arrangements > budget.max_work:
+            raise budget.refusal(work)
+    # (counts left of 1..n, last value or 0) -> descent mask -> words
+    layer = {((m,) * n, 0): {0: 1}}
+    for pos in range(cells):
+        nxt: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
+        for (left, last), masks in layer.items():
+            for v, c in enumerate(left, 1):
+                if not c:
+                    continue
+                into = nxt.setdefault((left[: v - 1] + (c - 1,) + left[v:], v), {})
+                bit = 1 << pos - 1 if v < last else 0  # a drop after position pos
+                for mask, words in masks.items():
+                    mask |= bit
+                    into[mask] = into.get(mask, 0) + words
+        layer = nxt
+    merged: dict[int, int] = {}
+    for masks in layer.values():
+        for mask, words in masks.items():
+            merged[mask] = merged.get(mask, 0) + words
+    return {
+        DescentSet(tuple(p + 1 for p in range(cells - 1) if mask >> p & 1)): words
+        for mask, words in merged.items()
+    }
 
 
 def count_naive(
@@ -189,9 +127,10 @@ def count_naive(
 ) -> int:
     """Count words holding each of 1..n exactly m times with this descent set.
 
-    Its entry of :func:`descent_histogram`, with the same refusals: every
-    word is tallied, whichever set is asked for, so one call costs as much
-    as the whole histogram; read several sets off one histogram instead.
+    Its entry of :func:`descent_histogram`, with the same refusals: the
+    transfer tallies every word by its mask, whichever set is asked for, so
+    one call costs as much as the whole histogram; read several sets off one
+    histogram instead.
     """
     return descent_histogram(n, m, budget).get(descents, 0)
 

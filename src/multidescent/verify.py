@@ -82,12 +82,12 @@ def agreement_report(
     The enumeration side is one :func:`oracle.descent_histogram` per (n, m),
     made when the grid first reaches that pair, so every set is read off
     the same full enumeration.  The default grid reaches n = 6, 2461
-    checks; the (6, 2) histogram, 7,484,400 words tallied in packed
-    counter rows, is the largest part of its time.  Every route answers
-    n*m <= largest with 0, but the determinant route is checked only where
-    n*m > largest: the check count at the benchmark's grid (457 at top=4,
-    n_max=4, m_max=3, cells_max=12) is a recorded reference, so the guard
-    stays.
+    checks; the (6, 2) histogram, 7,484,400 words tallied by one
+    left-to-right transfer, is the largest part of its time.  Every route
+    answers n*m <= largest with 0, but the determinant route is checked
+    only where n*m > largest: the check count at the benchmark's grid (457
+    at top=4, n_max=4, m_max=3, cells_max=12) is a recorded reference, so
+    the guard stays.
     """
     strict_ints((n_max, m_max, cells_max), "grid bounds", 1)
     histograms: dict[tuple[int, int], dict[DescentSet, int]] = {}

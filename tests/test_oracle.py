@@ -108,9 +108,8 @@ def test_descent_histogram_refuses_like_count_naive():
 
 
 def test_descent_histogram_matches_the_permutation_set_whole():
-    # every key and count, at words shorter than the listed tail (oracle.TAIL
-    # values), exactly as long, and longer, so the prefix-tail junction and
-    # the empty prefix are both covered
+    # every key and count, at every (n, m) of at most 8 cells: n = 1 answered
+    # without a walk, and the transfer's drops at every position of a word
     for n in range(1, 9):
         for m in range(1, 8 // n + 1):
             expected = Counter(descent_set(w) for w in multiset_words(n, m))
@@ -118,23 +117,49 @@ def test_descent_histogram_matches_the_permutation_set_whole():
 
 
 def test_descent_histogram_counts_each_word_by_one_increment():
-    # 7,484,400 words: one next-permutation step per word needs about twice
-    # this bound; packed counter rows, one integer addition per walked
-    # prefix, stay well under it
+    # 7,484,400 words: one step per word needs about twice this bound; the
+    # transfer adds the words of each (state, mask) entry at once, and its
+    # layers hold far fewer entries than there are words
     start = time.process_time()
     histogram = descent_histogram(6, 2)
     assert time.process_time() - start < 3
     assert sum(histogram.values()) == factorial(12) // 2**6 == 7_484_400
 
 
+@pytest.mark.parametrize(
+    "n,m,words",
+    [(1, 10**7, 1), (2, 12, 2_704_156), (6, 2, 7_484_400), (10, 1, 3_628_800)],
+)
+def test_descent_histogram_answers_under_a_memory_cap(
+    run_under_address_limit, n, m, words
+):
+    # the largest points within the default budget, 10**7 cells of one value
+    # and 24!/12!**2, 12!/2**6 and 10! arrangements, each answered in 64 MB
+    # of address space: a list of the 10**7 values of the one word of n = 1
+    # would not fit, so that word is answered without placing a value
+    resource = pytest.importorskip("resource")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    code, out, err = run_under_address_limit(
+        64, f"sum(oracle.descent_histogram({n}, {m}).values())"
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert code == 0, err
+    assert out.split() == [str(words)]
+    if n == 1:
+        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+        assert cpu < 1
+
+
 @given(
     st.sets(st.integers(1, 10), max_size=5),
-    st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 10 // n))),
+    st.integers(1, 10).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, 10 // n))
+    ),
 )
 @settings(max_examples=100, deadline=None)
 def test_count_naive_agrees_with_count_prefix(elements, size):
-    # n = 10, m = 1 is left out: one enumeration of 10! words takes about
-    # 0.5 s, and a hundred examples would draw it about ten times
+    # n = 10, m = 1 is drawn too: the transfer tallies its 10! words in
+    # about 0.15 s, so the ten or so draws of it stay cheap
     ds = DescentSet(elements)
     n, m = size
     assert count_naive(ds, n, m) == count_prefix(ds, n, m)

@@ -1,7 +1,5 @@
 """Ribbon construction, determinant expansion, and monomial extraction."""
 
-import subprocess
-import sys
 import time
 from collections import Counter
 from itertools import combinations, permutations, product
@@ -345,56 +343,40 @@ def test_count_via_jacobi_trudi_charges_each_placement_once(
         count_via_jacobi_trudi(ds, n, m, EnumerationBudget(placements - 1))
 
 
-def run_under_address_limit(megabytes, elements, n, m):
-    """Count (elements, n, m) by Jacobi-Trudi in a child process whose
-    address space is capped; return its exit code, stdout and stderr."""
-    cap = megabytes * 2**20
-    child = (
-        "import resource\n"
-        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
-        "from multidescent.core import BudgetExceededError, DescentSet\n"
-        "from multidescent.schur import count_via_jacobi_trudi\n"
-        "try:\n"
-        f"    print(count_via_jacobi_trudi(DescentSet({elements!r}), {n}, {m}))\n"
-        "except BudgetExceededError as exc:\n"
-        "    print('refused:', exc)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120
-    )
-    return proc.returncode, proc.stdout, proc.stderr
-
-
-def test_count_via_jacobi_trudi_keeps_its_stack_small():
-    if not hasattr(pytest.importorskip("resource"), "RLIMIT_AS"):
-        pytest.skip("no address-space limit here")
+def test_count_via_jacobi_trudi_keeps_its_stack_small(run_under_address_limit):
     # two columns share 10^6 units in 5 * 10^5 + 1 ways; a stack holding
     # every increment of a class at once needed more than 250 MB of address
     # space.  These placements all reach the chain's last end, which is
     # summed, not stored, so the search now holds no state at all
-    code, out, err = run_under_address_limit(200, (10**6,), 2, 10**6)
+    code, out, err = run_under_address_limit(
+        200, "schur.count_via_jacobi_trudi(DescentSet((10**6,)), 2, 10**6)"
+    )
     assert code == 0, err
     assert out.split() == [str(10**6)]
 
 
-def test_count_via_jacobi_trudi_stores_no_state_of_its_last_end():
-    if not hasattr(pytest.importorskip("resource"), "RLIMIT_AS"):
-        pytest.skip("no address-space limit here")
+def test_count_via_jacobi_trudi_stores_no_state_of_its_last_end(
+    run_under_address_limit,
+):
     # a single descent places only into the last end, whose placements are
     # summed: the 5 * 10^5 states it reaches once took about 121 MB
-    code, out, err = run_under_address_limit(64, (10**6,), 2, 10**6)
+    code, out, err = run_under_address_limit(
+        64, "schur.count_via_jacobi_trudi(DescentSet((10**6,)), 2, 10**6)"
+    )
     assert code == 0, err
     assert out.split() == [str(10**6)]
 
 
-def test_count_via_jacobi_trudi_charges_wide_keys_instead_of_running_out():
-    if not hasattr(pytest.importorskip("resource"), "RLIMIT_AS"):
-        pytest.skip("no address-space limit here")
+def test_count_via_jacobi_trudi_charges_wide_keys_instead_of_running_out(
+    run_under_address_limit,
+):
     # two columns of cap 10^6: each of the ~5 * 10^5 states of the end at
     # 10^6 holds a fill of at least 5 * 10^5, a key of 10^6 bits or more,
     # so stored uncharged they would take tens of GB; charged by their
     # extra words the chain is refused long before that
-    code, out, err = run_under_address_limit(160, (10**6, 10**6 + 1), 2, 10**6)
+    code, out, err = run_under_address_limit(
+        160, "schur.count_via_jacobi_trudi(DescentSet((10**6, 10**6 + 1)), 2, 10**6)"
+    )
     assert code == 0, err
     assert out.startswith(("refused: Jacobi-Trudi placements", "0\n")), out
 
