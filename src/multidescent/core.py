@@ -68,6 +68,14 @@ class DescentSet:
         items = tuple(sorted(set(strict_ints(self.elements, "descent positions", 1))))
         object.__setattr__(self, "elements", items)
 
+    @classmethod
+    def _of(cls, elements: tuple[int, ...]) -> "DescentSet":
+        """The set of ``elements``, already a strictly increasing tuple of
+        positive ints, built without checking them again."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "elements", elements)
+        return ds
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -94,7 +102,7 @@ class DescentSet:
         """The same set with its largest element removed."""
         if not self.elements:
             raise DomainError("cannot drop the largest element of an empty set")
-        return DescentSet(self.elements[:-1])
+        return DescentSet._of(self.elements[:-1])
 
     @property
     def longest_run(self) -> int:

@@ -9,12 +9,15 @@ left-to-right transfer over (values left, last value) states, each holding
 its words by descent mask, and :func:`count_naive` reads one set off it.
 Every other counter counts over one walker, ``_pattern_walk``, which lists
 words with a prescribed drop pattern and per-value caps on an explicit
-stack, without memoization, and stops three positions short, handing over
-the third-to-last range with a bit mask of the values at their caps.
-``count_prefix`` places that value in a loop of its own and counts each
-second-to-last range after it at once, as sums of ranks.  Two kernels read
-the third-to-last values from ``_second_ranges``, which places and charges
-them, and place the second-to-last value in a loop of their own:
+stack, without merging words, and stops three positions short, handing over
+the third-to-last range with three bit masks, of the values at most zero,
+one and two uses below their caps, and the mask of the values held; it
+keeps each mask in O(1) a step.  ``count_prefix`` reads what each
+third-to-last range counts and charges off prefix tables keyed by the
+masks, built once per call for each key, so a handover costs O(1) once
+its table is built.  Two kernels read the third-to-last values from
+``_second_ranges``, which places and charges them, and place the
+second-to-last value in a loop of their own:
 ``_last_counts`` tallies the words by last value, and :func:`witness_counts`
 the witnesses of every coefficient index.  :func:`onto_counts` reads the
 witnesses off the last-value tallies by inclusion-exclusion, so the two
@@ -66,6 +69,7 @@ class EnumerationBudget:
 
 DEFAULT_BUDGET = EnumerationBudget()
 _WALK_WORK = "values placed by a word walk"  # what a walk's refusal names
+_TABLE_CELLS = 1 << 16  # count_prefix holds this many over n + 1 tables at once
 
 
 def descent_histogram(
@@ -117,7 +121,7 @@ def descent_histogram(
         for mask, words in masks.items():
             merged[mask] = merged.get(mask, 0) + words
     return {
-        DescentSet(tuple(p + 1 for p in range(cells - 1) if mask >> p & 1)): words
+        DescentSet._of(tuple(p + 1 for p in range(cells - 1) if mask >> p & 1)): words
         for mask, words in merged.items()
     }
 
@@ -152,34 +156,52 @@ def _range_work(first: int, end: int, capped: int, fall: bool, top: int) -> int:
     return work
 
 
+def _open_masks(caps: Sequence[int]) -> list[int]:
+    """The walk's masks before any value is placed: bit v of mask d is set
+    when ``caps[v-1]`` <= d, for d = 0, 1 and 2.  One cap for every value
+    gives full or empty masks at once; other caps are read off one string
+    of bits per mask, so a wide alphabet costs O(len(caps)) either way."""
+    if caps and caps.count(caps[0]) == len(caps):
+        every = (1 << len(caps) + 1) - 2  # the values 1..len(caps)
+        return [every if caps[0] <= d else 0 for d in range(3)]
+    return [
+        int("".join("1" if c <= d else "0" for c in reversed(caps)) + "0", 2)
+        for d in range(3)
+    ]
+
+
 def _pattern_walk(
     descents: DescentSet,
     caps: Sequence[int],
     budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> Iterator[tuple[int, int, int, list[int], list[int]]]:
+) -> Iterator[tuple[int, int, list[int], int, list[int]]]:
     """Walk the words of length ``largest`` >= 3 over 1..len(caps) that use
     each value v at most ``caps[v-1]`` times and drop strictly exactly at
     the descent set without its largest element, three positions short.
-    Yield ``(lo, hi, capped, usage, spent)`` once per word without its last
+    Yield ``(lo, hi, masks, held, spent)`` once per word without its last
     three values.
 
     The third-to-last value is any v in range(lo, hi) below its cap, and
-    the caller places it and the two values after it.  ``usage[v]`` is how
-    often v occurs in the first ``largest - 3`` positions (``usage[0]``
-    stays 0), and bit v of ``capped`` is set when v is at its cap, so
-    ``least``, the smallest value below its cap, is its lowest clear bit
-    above bit 0.  The list is live and the walk's own: read it, never
-    change it.  ``spent`` is a one-item list holding the walk's running
-    charge: the caller adds its own charges to it, refusing once they pass
-    ``max_work``, and the walk goes on from there.  The walk is a
-    depth-first search on an explicit stack, the value and the range of
-    values still open at each position, so memory is O(largest +
-    len(caps)) and no length meets a recursion limit.  Nothing is memoized
-    or merged: every word without its last three values is reached on its
-    own.  The walk charges 1 per value it places, more than the budget's
-    ``max_work`` raises, and a word reaching the last position costs at
-    least ``largest - 1``, so a walk where that passes ``max_work`` is
-    refused before it allocates, even when no word fits.
+    the caller places it and the two values after it.  ``masks`` is a list
+    of three bit masks: bit v of ``masks[d]`` is set when v has at most d
+    uses left below its cap, so ``masks[0]`` holds the values at their
+    caps, and ``least``, the smallest value below its cap, is its lowest
+    clear bit above bit 0.  ``held`` is the mask of the values the word
+    holds.  Placing a value, or taking it back, changes at most one bit of
+    one mask and of ``held``, so the masks cost O(1) a step.  The list is
+    live and the walk's own: read it, never change it.  ``spent`` is a
+    one-item list holding the walk's running charge: the caller adds its
+    own charges to it, refusing once they pass ``max_work``, and the walk
+    goes on from there.  The walk is a depth-first search on an explicit
+    stack, the value and the range of values still open at each position,
+    so memory is O(largest + len(caps)) and no length meets a recursion
+    limit.  Nothing is memoized or merged: every word without its last
+    three values is reached on its own, and the walk hands it over right
+    after placing its last value, before it tries the next.  The walk
+    charges 1 per value it places, more than the budget's ``max_work``
+    raises, and a word reaching the last position costs at least
+    ``largest - 1``, so a walk where that passes ``max_work`` is refused
+    before it allocates, even when no word fits.
     """
     length = descents.largest
     if length - 1 > budget.max_work:
@@ -189,33 +211,34 @@ def _pattern_walk(
         falls[p] = True
     cap = (0, *caps)
     top = len(cap)
-    usage = [0] * top
-    capped = sum(1 << v for v in range(1, top) if not cap[v])
-    stop = length - 2  # the third-to-last position, left to the caller
-    word = [0] * stop  # word[p]: the value at position p, 0 before the first
+    left = list(cap)  # left[v]: the uses of v still open
+    masks = _open_masks(caps)
+    held = 0
+    spent = [0]
+    last = length - 3  # the last position the walk places
+    if not last:  # a word of three values: its first range is the open one
+        yield 1, top, masks, held, spent
+        return
+    word = [0] * length  # word[p]: the value at position p, 0 before the first
     lo = [1] * length  # position p takes values in range(lo[p], hi[p])
     hi = [top] * length
     limit = budget.max_work
-    spent = [0]
     placed = 0
     pos = 1
     while pos:
-        if pos == stop:
-            spent[0] = placed
-            yield lo[pos], hi[pos], capped, usage, spent
-            placed = spent[0]
-            pos -= 1
-            continue
         value = word[pos]
         if value:  # take the last value back and try the ones after it
-            if usage[value] == cap[value]:
-                capped ^= 1 << value
-            usage[value] -= 1
+            d = left[value]
+            left[value] = d + 1
+            if d < 3:
+                masks[d] ^= 1 << value
+            if d + 1 == cap[value]:
+                held ^= 1 << value
             value += 1
         else:
             value = lo[pos]
         end = hi[pos]
-        while value < end and usage[value] >= cap[value]:
+        while value < end and not left[value]:
             value += 1
         if value == end:
             word[pos] = 0
@@ -224,10 +247,20 @@ def _pattern_walk(
         placed += 1
         if placed > limit:
             raise budget.refusal(_WALK_WORK)
-        usage[value] += 1
-        if usage[value] == cap[value]:
-            capped |= 1 << value
+        d = left[value] - 1
+        left[value] = d
+        if d < 3:
+            masks[d] |= 1 << value
+        held |= 1 << value
         word[pos] = value
+        if pos == last:  # hand the third-to-last range over, and stay
+            spent[0] = placed
+            if falls[pos]:
+                yield 1, value, masks, held, spent
+            else:
+                yield value, top, masks, held, spent
+            placed = spent[0]
+            continue
         if falls[pos]:
             lo[pos + 1], hi[pos + 1] = 1, value
         else:
@@ -239,45 +272,46 @@ def _second_ranges(
     descents: DescentSet,
     caps: Sequence[int],
     budget: EnumerationBudget,
-) -> Iterator[tuple[int, int, int, int, int, list[int]]]:
+) -> Iterator[tuple[int, int, int, int, int, int]]:
     """Place each third-to-last value ``x`` of the words of
     :func:`_pattern_walk`, ``largest`` >= 2, and yield ``(first, end, full,
-    held, x, usage)`` once per x.
+    near, held, x)`` once per x.
 
     The second-to-last value is then any a in range(first, end) whose bit
-    is clear in the cap mask ``full``; ``held`` is the mask of the values
-    placed so far, x's bit included, and x is not counted in ``usage``.
-    Each x is charged 1 plus the charge of its second-to-last range before
-    it is yielded, so a caller that skips it has still paid for it.  A word
-    of two values has no third-to-last position: its one second-to-last
+    is clear in the cap mask ``full``; ``near`` is the mask of the values
+    at most one use below their caps, and ``held`` the mask of the values
+    placed so far, both once x is placed.  So a free value a reaches its
+    cap when placed exactly when its bit is set in ``near``.  Each x is
+    charged 1 plus the charge of its second-to-last range before it is
+    yielded, so a caller that skips it has still paid for it.  A word of
+    two values has no third-to-last position: its one second-to-last
     range, range(1, len(caps) + 1), is charged in full and yielded once,
     with x = 0.
     """
-    cap = (0, *caps)
-    top = len(cap)
+    top = len(caps) + 1
     length = descents.largest
     fall = length - 1 in descents  # the word drops before its last value
     limit = budget.max_work
     if length == 2:
-        capped = sum(1 << v for v in range(1, top) if not cap[v])
+        capped, near, _ = _open_masks(caps)
         if _range_work(1, top, capped, fall, top) > limit:
             raise budget.refusal(_WALK_WORK)
-        yield 1, top, capped, 0, 0, [0] * top
+        yield 1, top, capped, near, 0, 0
         return
     drop = length - 2 in descents  # the word drops before its second-to-last value
-    for lo, hi, capped, usage, spent in _pattern_walk(descents, caps, budget):
+    for lo, hi, masks, held, spent in _pattern_walk(descents, caps, budget):
         work = spent[0]
-        held = sum(1 << v for v in range(1, top) if usage[v])
+        capped, near, twice = masks
         for x in range(lo, hi):
             bit = 1 << x
             if capped & bit:
                 continue
-            full = capped | bit if usage[x] + 1 == cap[x] else capped
+            full = capped | near & bit
             first, end = (1, x) if drop else (x, top)
             work += 1 + _range_work(first, end, full, fall, top)
             if work > limit:
                 raise budget.refusal(_WALK_WORK)
-            yield first, end, full, held | bit, x, usage
+            yield first, end, full, near | twice & bit, held | bit, x
         spent[0] = work
 
 
@@ -305,22 +339,20 @@ def _last_counts(
     The values at their caps once ``a`` is placed hold no last place: each
     is taken off its own entry as it is met.
     """
-    cap = (0, *caps)
-    top = len(cap)
+    top = len(caps) + 1
     if descents.largest == 1:
         free = _one_value(caps, budget)
         return [free >> v & 1 for v in range(top)]
     fall = descents.largest - 1 in descents
     marks = [0] * (top + 1)
     tally = [0] * top
-    for first, end, full, _, x, usage in _second_ranges(descents, caps, budget):
+    for first, end, full, near, _, _ in _second_ranges(descents, caps, budget):
         for a in range(first, end):
             bit = 1 << a
             if full & bit:
                 continue
             marks[a] += 1
-            after = full | bit if usage[a] + (a == x) + 1 == cap[a] else full
-            rest = after & (bit - 2 if fall else -bit)
+            rest = (full | near & bit) & (bit - 2 if fall else -bit)
             while rest:
                 low = rest & -rest
                 tally[low.bit_length() - 1] -= 1
@@ -362,7 +394,7 @@ def _witness_counts(
     top = length + 2
     fall = length - 1 in descents
     sides = ([0] * top, [0] * top)  # onto-upper, onto-full, by index
-    for first, end, _, held, _, _ in _second_ranges(descents, caps, budget):
+    for first, end, _, _, held, _ in _second_ranges(descents, caps, budget):
         high = max(held.bit_length(), 2) - 1  # the largest value held, or 1
         if (((1 << high + 1) - 4) & ~held).bit_count() > 2:
             continue
@@ -382,6 +414,97 @@ def _witness_counts(
     return tuple(zip(sides[0][: length + 1], sides[1][: length + 1]))
 
 
+class _HandoverSums:
+    """Running sums of what ``count_prefix``'s third-to-last values x count
+    and are charged, for one key of the walk's masks.
+
+    The ranges of x of one call all start at the same end: range(1, u)
+    after a drop to x, scanned up from 1, or range(u, n + 1) after an
+    ascent, scanned down from n.  Step i passes x = i - 1 going up and x =
+    n + 1 - i going down, and entry i of ``counts`` and ``charges`` sums
+    the free x of the first i steps, so a handover reads its range off one
+    entry and the scan passes no value outside the ranges it serves.  What
+    x counts reads the free values on a's side of x: their number, those
+    of them one use below the cap, and their charges.  When the scan has
+    passed that side, these are its running counts r, h and s; otherwise
+    they are the totals p, h_all and s_all, read once off the whole masks
+    of the key, less the running counts and x itself.  Counted before a is
+    placed, a free value's rank is the number of free values below it, and
+    the free values of one second-to-last range have consecutive ranks, so
+    x's range is counted as sums of ranks.  The scan goes only as far as a
+    handover has read, and resumes from there.
+    """
+
+    __slots__ = ("counts", "charges", "masks", "p", "h_all", "s_all", "r", "h", "s")
+
+    def __init__(
+        self, key: tuple[int, int, int, int], top: int, fall: bool, ahead: bool
+    ) -> None:
+        *self.masks, self.p = key  # at most zero, one and two uses left; p
+        capped, one, _ = self.masks
+        if ahead:  # a's side lies ahead of the scan: the whole masks' totals
+            self.p = (((1 << top) - 2) & ~capped).bit_count()
+            self.h_all = (one & ~capped).bit_count()
+            self.s_all = _range_work(1, top, capped, fall, top)
+        self.counts, self.charges = [0], [0]
+        self.r = self.h = self.s = 0
+
+    def extend(
+        self, reach: int, room: int, top: int, up: bool, drop: bool, fall: bool
+    ) -> None:
+        """Scan on to step ``reach``, but stop once the charges pass
+        ``room``: the handover reading them is refused, and the scan goes
+        no further than the charge it is refused for."""
+        counts, charges, p = self.counts, self.charges, self.p
+        count, charge, r, h, s = counts[-1], charges[-1], self.r, self.h, self.s
+        behind = up == drop  # the scan has passed a's side of x
+        done = len(counts)
+        if up:
+            xs = range(done - 1, reach)
+            low = done - 1
+        else:
+            xs = range(top - done, top - reach - 1, -1)
+            low = top - reach
+        # the masks' bits of the values to pass, so that a step costs O(1)
+        span = (1 << len(xs)) - 1
+        capped, one, two = self.masks
+        capped, one, two = capped >> low & span, one >> low & span, two >> low & span
+        for x in xs:
+            j = x - low
+            if x and not capped >> j & 1:
+                k = one >> j & 1  # x fills its cap
+                w = x if fall else top + 1 - x  # x's charge as a second-to-last value
+                if behind:  # the free values on a's side, those one below, charges
+                    ra, ha, sa = r, h, s
+                else:
+                    ra, ha, sa = p - 1 - r, self.h_all - h - k, self.s_all - s - w
+                if drop:  # a in range(1, x): ranks 0..ra-1
+                    charge += 1 + sa
+                    if fall:  # each a's rank, less 1 unless a is least
+                        count += ra * (ra - 1) // 2 - ra + (ra > 0)
+                    else:  # the free values from a up, less a if it fills, less least
+                        count += ra * (p - k) - ra * (ra - 1) // 2 - ha - (ra > 0)
+                else:  # a in range(x, top): x and the ra free values above it
+                    charge += 1 + sa + (not k) * w
+                    c = ra + 1 - k  # the free values of range(x, top) once x is placed
+                    below = p - ra - 1  # the free values below x
+                    ranks = c * below + c * (c - 1) // 2
+                    least = not below and c > 0
+                    if fall:
+                        count += ranks - c + least
+                    else:  # x is one use below its cap once placed when two below
+                        twice = not k and two >> j & 1
+                        count += c * (p - k) - ranks - ha - twice - least
+                r += 1
+                h += k
+                s += w
+            counts.append(count)
+            charges.append(charge)
+            if charge > room:
+                break
+        self.r, self.h, self.s = r, h, s
+
+
 def count_prefix(
     descents: DescentSet, n: int, m: int, budget: EnumerationBudget | None = None
 ) -> int:
@@ -398,20 +521,28 @@ def count_prefix(
     The rule: each second-to-last value ``a`` counts the free values (those
     below their caps once ``a`` is placed) of its last range, range(1, a)
     after a drop or range(a, n + 1) after an ascent, less the least free
-    value if it lies there.  Counted before ``a`` is placed, a free value's
-    rank is the number of free values below it, and the free values of one
-    second-to-last range have consecutive ranks, so each range is counted
-    at once as sums of ranks.  Each third-to-last value ``x`` of a
-    handover is placed in one loop that scans the free values from the far
-    end of x's second-to-last range: up from 1 when it is range(1, x),
-    after a drop, and down from n when it is range(x, n + 1), after an
-    ascent.  So the free values of that range, those of them at m - 1 and
-    their charges each step by one value per value passed, and x is charged
-    1 plus the charge of its range before it is counted.  A prefix of two
-    values has one second-to-last range, range(1, n + 1), and no walk.  The
-    walk and this loop charge the budget for the values placed or offered,
-    before they are, and they would place or offer every value, so more
-    than ``max_work`` values are refused before any cap is built.
+    value if it lies there.  What a third-to-last value ``x`` counts, and
+    what it is charged, 1 plus the charge of its second-to-last range,
+    depend only on x, the number p of values below their caps and the
+    walk's masks: the values at their caps and, where the case reads them,
+    those one and two uses below.  The ranges of x of one call all start
+    at 1 or all end at n, so :class:`_HandoverSums` sums these over x once
+    for each key, scanning from that end, and a handover reads its range
+    off one entry.  A key holds what its case reads and no more: the
+    capped mask alone when x drops to ``a`` and ``a`` to the last value,
+    all three masks when both steps rise, and the capped and one-below
+    masks otherwise.  When the scan has passed a's side of x, the masks
+    are cut to the values the scan passes, with p where a formula reads
+    it, so prefixes that differ only past them share a table; otherwise
+    the whole masks give the totals of a's side.  The tables live in a
+    dict of this call, nothing is kept across calls, and a dict of
+    ``_TABLE_CELLS`` // (n + 1) tables is emptied before the next is
+    built, so a wide alphabet with little reuse holds a bounded number of
+    them.  A prefix of two values has one second-to-last range, range(1, n
+    + 1), and no walk.  The walk and the tables charge the budget for the
+    values placed or offered, before they are counted, and a scan stops
+    once its range is over the budget, so more than ``max_work`` values
+    are refused before any cap is built and a range before it is passed.
     """
     require_positive(n=n, m=m)
     if not descents:
@@ -432,53 +563,40 @@ def count_prefix(
             raise budget.refusal(_WALK_WORK)
         return (n - 1) * (n - 2) // 2 if fall else n * top // 2 - 1 - (m == 1) * n
     drop = length - 2 in descents  # x drops to a
+    up = length - 3 in descents  # the word drops to x: x in range(1, u)
+    ahead = up != drop  # a's side of x lies ahead of the scan
+    # what each case reads besides the capped mask: the values at most one
+    # use below their caps and p unless both steps drop, two when both rise
+    one_read = 0 if drop and fall else -1
+    two_read = 0 if drop or fall else -1
+    p_read = not (drop and fall)
+    tables: dict[tuple[int, int, int, int], _HandoverSums] = {}
+    most = max(1, _TABLE_CELLS // top)  # the tables held at once
     total = 0
-    for lo, hi, capped, usage, spent in _pattern_walk(descents, (m,) * n, budget):
-        work = spent[0]
-        p = (((1 << top) - 2) & ~capped).bit_count()  # the free values
-        r = h = s = 0  # free values passed, those at m - 1, and their charges
-        if drop:  # a in range(1, x): scan up from 1
-            for x in range(1, hi):
-                u = usage[x]
-                if u == m:
-                    continue
-                k = u == m - 1  # x fills its cap
-                if x >= lo:
-                    work += 1 + s
-                    if work > limit:
-                        raise budget.refusal(_WALK_WORK)
-                    # the r free values of range(1, x) have ranks 0..r-1,
-                    # and the least free value is among them when r > 0
-                    if fall:  # each a's rank, less 1 unless a is least
-                        total += r * (r - 1) // 2 - r + (r > 0)
-                    else:  # the free values from a up, less a if it fills, less least
-                        total += r * (p - k) - r * (r - 1) // 2 - h - (r > 0)
-                r += 1
-                h += k
-                s += x if fall else top + 1 - x
-        else:  # a in range(x, top): scan down from n
-            for x in range(n, lo - 1, -1):
-                u = usage[x]
-                if u == m:
-                    continue
-                k = u == m - 1
-                w = x if fall else top + 1 - x
-                if x < hi:
-                    work += 1 + s + (not k) * w
-                    if work > limit:
-                        raise budget.refusal(_WALK_WORK)
-                    c = r + 1 - k  # the free values of range(x, top) once x is placed
-                    below = p - r - 1  # the free values below x
-                    ranks = c * below + c * (c - 1) // 2
-                    least = not below and c > 0
-                    if fall:
-                        total += ranks - c + least
-                    else:  # x itself is at m - 1 once placed when u == m - 2
-                        total += c * (p - k) - ranks - h - (u == m - 2) - least
-                r += 1
-                h += k
-                s += w
+    for lo, hi, masks, _, spent in _pattern_walk(descents, (m,) * n, budget):
+        reach = hi if up else top - lo  # the steps that pass range(lo, hi)
+        capped, one, two = masks
+        if ahead:
+            key = capped, one & one_read, two & two_read, 0
+        else:  # only the values the scan passes, and p
+            keep = (1 << hi) - 1 if up else -1 << lo
+            free = n - capped.bit_count() if p_read else 0
+            key = capped & keep, one & keep & one_read, two & keep & two_read, free
+        table = tables.get(key)
+        if table is None:
+            if len(tables) >= most:
+                tables.clear()
+            table = tables[key] = _HandoverSums(key, top, fall, ahead)
+        counts, charges = table.counts, table.charges
+        if len(counts) <= reach:
+            table.extend(reach, limit - spent[0], top, up, drop, fall)
+            if len(counts) <= reach:  # stopped short: the range is over budget
+                raise budget.refusal(_WALK_WORK)
+        work = spent[0] + charges[reach]
+        if work > limit:
+            raise budget.refusal(_WALK_WORK)
         spent[0] = work
+        total += counts[reach]
     return total
 
 

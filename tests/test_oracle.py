@@ -91,7 +91,8 @@ def test_descent_histogram_tallies_every_arrangement_once():
             histogram = descent_histogram(n, m)
             assert sum(histogram.values()) == factorial(n * m) // factorial(m) ** n
             assert histogram[DescentSet()] == 1  # the sorted word
-            # count_prefix needs 5 s for the 512 sets of n = 10, m = 1
+            # count_prefix needs about 2.4 s of CPU for the 512 sets of
+            # n = 10, m = 1
             route = count_via_jacobi_trudi if n == 10 else count_prefix
             for ds, count in histogram.items():
                 assert count == route(ds, n, m), (ds, n, m)
@@ -234,6 +235,23 @@ def test_count_prefix_charges_the_last_position():
         ((2, 4), 4, 2, 99),  # the last step ascends
         ((1, 3), 4, 1, 30),  # m = 1: every second-to-last value caps, least moves
         ((2, 4, 6, 8), 8, 4, 758_639),  # the heaviest count-dense op
+        # m = 1: every value starts one use below its cap, and each placement
+        # moves a value from that mask to the capped one; "ahead": a's side
+        # of x lies ahead of the table's scan, "behind": the scan has passed
+        # it and the key keeps only the values scanned
+        ((2, 4, 6), 7, 1, 2317),  # drop then rise, ahead
+        ((2, 3, 4, 6), 8, 1, 2178),  # drop then rise, behind
+        ((2, 5, 6), 7, 1, 1393),  # rise then fall, behind
+        # m = 2: every value starts two uses below its cap, and each first
+        # placement moves it to the one-below mask
+        ((2, 4, 5, 6), 8, 2, 13_134),  # drop then fall: the capped mask alone
+        ((3, 4, 6), 8, 2, 10_936),  # drop then rise, behind
+        ((1, 3, 6, 7), 8, 2, 77_350),  # rise then fall, behind
+        ((1, 4, 6, 8), 8, 2, 370_503),  # drop then rise, ahead
+        # m = 3, rise then rise: values two uses below their caps at the
+        # handover, read by the third mask
+        ((2, 4, 7), 7, 3, 49_701),  # ahead
+        ((2, 7), 8, 3, 36_786),  # behind
     ],
 )
 def test_count_prefix_refusal_thresholds_are_pinned(elements, n, m, least_work):
@@ -573,6 +591,31 @@ def test_walks_refuse_a_range_before_working_through_it():
         with pytest.raises(BudgetExceededError, match=over):
             count_prefix(ds, 10**6, 1)
         assert count_coeff_witnesses(ds, 10**5) == 0
+
+
+@pytest.mark.parametrize("elements", [(4,), (1, 4), (2, 4), (3, 4), (2, 3, 5)])
+def test_count_prefix_refuses_a_wide_range_without_scanning_it(elements):
+    # a third-to-last range over 10**6 values passes the default budget
+    # within a few thousand of them: count_prefix scans each range from the
+    # end where it starts and stops there, whichever side of x a lies on,
+    # rather than passing all 10**6 values first
+    start = time.process_time()
+    with pytest.raises(BudgetExceededError, match="max_work = 10000000$"):
+        count_prefix(DescentSet(elements), 10**6, 1)
+    assert time.process_time() - start < 0.3
+
+
+def test_count_prefix_holds_a_bounded_number_of_tables(run_under_address_limit):
+    # 11,175 handovers over 150 values with m = 1 each read a table of their
+    # own; kept all at once they take over 100 MB, and the per-call dict is
+    # emptied each time it holds _TABLE_CELLS // 151 of them instead
+    ds = DescentSet((2, 5))
+    code, out, err = run_under_address_limit(
+        64, "oracle.count_prefix(DescentSet((2, 5)), 150, 1, "
+        "oracle.EnumerationBudget(10**12))"
+    )
+    assert code == 0, err
+    assert out.split() == [str(count_via_jacobi_trudi(ds, 150, 1))]
 
 
 @pytest.mark.parametrize(
