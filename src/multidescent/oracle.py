@@ -9,23 +9,21 @@ left-to-right transfer over (values left, last value) states, each holding
 its words by descent mask, and :func:`count_naive` reads one set off it.
 Every other counter counts over one walker, ``_pattern_walk``, which lists
 words with a prescribed drop pattern and per-value caps on an explicit
-stack, without merging words, and stops three positions short, handing over
-the third-to-last range with three bit masks, of the values at most zero,
-one and two uses below their caps, and the mask of the values held; it
-keeps each mask in O(1) a step.  ``count_prefix`` reads what each
-third-to-last range counts and charges off prefix tables keyed by the
-masks, built once per call for each key, so a handover costs O(1) once
-its table is built.  Two kernels read the third-to-last values from
-``_second_ranges``, which places and charges them, and place the
-second-to-last value in a loop of their own:
-``_last_counts`` tallies the words by last value, and :func:`witness_counts`
-the witnesses of every coefficient index.  :func:`onto_counts` reads the
-witnesses off the last-value tallies by inclusion-exclusion, so the two
-kernels check each other.  The budget is charged in one unit: 1 per value
-placed before the last position, and the size of each last range, each
-third-to-last value charged with its second-to-last range before its caller
-counts it; a word of two values has no third-to-last position, and its one
-range is counted without a walk.
+stack, without merging words, and stops as many positions short as its
+caller asks, handing over the next range with three bit masks, of the
+values at most zero, one and two uses below their caps, and the mask of
+the values held; it keeps each mask in O(1) a step.  ``count_prefix``
+stops three positions short and reads what each third-to-last range
+counts and charges off prefix tables keyed by the masks, built once per
+call for each key, so a handover costs O(1) once its table is built.  Two
+kernels stop two positions short and place the second-to-last value in a
+loop of their own: ``_last_counts`` tallies the words by last value, and
+:func:`witness_counts` the witnesses of every coefficient index.
+:func:`onto_counts` reads the witnesses off the last-value tallies by
+inclusion-exclusion, so the two kernels check each other.  The budget is
+charged in one unit: 1 per value placed before the last position, and the
+size of each last range; each kernel charges a second-to-last range it is
+handed, or that a third-to-last range holds, before it counts it.
 """
 
 from __future__ import annotations
@@ -173,35 +171,40 @@ def _open_masks(caps: Sequence[int]) -> list[int]:
 def _pattern_walk(
     descents: DescentSet,
     caps: Sequence[int],
-    budget: EnumerationBudget = DEFAULT_BUDGET,
+    budget: EnumerationBudget,
+    short: int,
 ) -> Iterator[tuple[int, int, list[int], int, list[int]]]:
-    """Walk the words of length ``largest`` >= 3 over 1..len(caps) that use
-    each value v at most ``caps[v-1]`` times and drop strictly exactly at
-    the descent set without its largest element, three positions short.
-    Yield ``(lo, hi, masks, held, spent)`` once per word without its last
-    three values.
+    """Walk the words of length ``largest`` >= ``short`` over 1..len(caps)
+    that use each value v at most ``caps[v-1]`` times and drop strictly
+    exactly at the descent set without its largest element, ``short``
+    positions short, 3 or 2.  Yield ``(lo, hi, masks, held, spent)`` once
+    per word without its last ``short`` values.
 
-    The third-to-last value is any v in range(lo, hi) below its cap, and
-    the caller places it and the two values after it.  ``masks`` is a list
-    of three bit masks: bit v of ``masks[d]`` is set when v has at most d
-    uses left below its cap, so ``masks[0]`` holds the values at their
-    caps, and ``least``, the smallest value below its cap, is its lowest
-    clear bit above bit 0.  ``held`` is the mask of the values the word
-    holds.  Placing a value, or taking it back, changes at most one bit of
-    one mask and of ``held``, so the masks cost O(1) a step.  The list is
-    live and the walk's own: read it, never change it.  ``spent`` is a
-    one-item list holding the walk's running charge: the caller adds its
-    own charges to it, refusing once they pass ``max_work``, and the walk
-    goes on from there.  The walk is a depth-first search on an explicit
-    stack, the value and the range of values still open at each position,
-    so memory is O(largest + len(caps)) and no length meets a recursion
-    limit.  Nothing is memoized or merged: every word without its last
-    three values is reached on its own, and the walk hands it over right
-    after placing its last value, before it tries the next.  The walk
-    charges 1 per value it places, more than the budget's ``max_work``
-    raises, and a word reaching the last position costs at least
-    ``largest - 1``, so a walk where that passes ``max_work`` is refused
-    before it allocates, even when no word fits.
+    The next value, third-to-last when ``short`` is 3 and second-to-last
+    when it is 2, is any v in range(lo, hi) below its cap, and the caller
+    places it and the values after it, charging them as it goes: with
+    ``short`` 2, a range's :func:`_range_work` before it reads the range.
+    ``masks`` is a list of three bit masks: bit v of ``masks[d]`` is set
+    when v has at most d uses left below its cap, so ``masks[0]`` holds
+    the values at their caps, and ``least``, the smallest value below its
+    cap, is its lowest clear bit above bit 0.  ``held`` is the mask of the
+    values the word holds.  Placing a value, or taking it back, changes at
+    most one bit of one mask and of ``held``, so the masks cost O(1) a
+    step.  The list is live and the walk's own: read it, never change it.
+    ``spent`` is a one-item list holding the walk's running charge: the
+    caller adds its own charges to it, refusing once they pass
+    ``max_work``, and the walk goes on from there.  The walk is a
+    depth-first search on an explicit stack, the value and the range of
+    values still open at each position, so memory is O(largest +
+    len(caps)) and no length meets a recursion limit.  Nothing is memoized
+    or merged: every word without its last ``short`` values is reached on
+    its own, and the walk hands it over right after placing its last
+    value, before it tries the next; a word of ``short`` values places
+    nothing, and its first range is handed over once, with the open masks.
+    The walk charges 1 per value it places, more than the budget's
+    ``max_work`` raises, and a word reaching the last position costs at
+    least ``largest - 1``, so a walk where that passes ``max_work`` is
+    refused before it allocates, even when no word fits.
     """
     length = descents.largest
     if length - 1 > budget.max_work:
@@ -215,8 +218,8 @@ def _pattern_walk(
     masks = _open_masks(caps)
     held = 0
     spent = [0]
-    last = length - 3  # the last position the walk places
-    if not last:  # a word of three values: its first range is the open one
+    last = length - short  # the last position the walk places
+    if not last:  # a word of `short` values: its first range is the open one
         yield 1, top, masks, held, spent
         return
     word = [0] * length  # word[p]: the value at position p, 0 before the first
@@ -253,7 +256,7 @@ def _pattern_walk(
             masks[d] |= 1 << value
         held |= 1 << value
         word[pos] = value
-        if pos == last:  # hand the third-to-last range over, and stay
+        if pos == last:  # hand the next range over, and stay
             spent[0] = placed
             if falls[pos]:
                 yield 1, value, masks, held, spent
@@ -266,53 +269,6 @@ def _pattern_walk(
         else:
             lo[pos + 1], hi[pos + 1] = value, top
         pos += 1
-
-
-def _second_ranges(
-    descents: DescentSet,
-    caps: Sequence[int],
-    budget: EnumerationBudget,
-) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """Place each third-to-last value ``x`` of the words of
-    :func:`_pattern_walk`, ``largest`` >= 2, and yield ``(first, end, full,
-    near, held, x)`` once per x.
-
-    The second-to-last value is then any a in range(first, end) whose bit
-    is clear in the cap mask ``full``; ``near`` is the mask of the values
-    at most one use below their caps, and ``held`` the mask of the values
-    placed so far, both once x is placed.  So a free value a reaches its
-    cap when placed exactly when its bit is set in ``near``.  Each x is
-    charged 1 plus the charge of its second-to-last range before it is
-    yielded, so a caller that skips it has still paid for it.  A word of
-    two values has no third-to-last position: its one second-to-last
-    range, range(1, len(caps) + 1), is charged in full and yielded once,
-    with x = 0.
-    """
-    top = len(caps) + 1
-    length = descents.largest
-    fall = length - 1 in descents  # the word drops before its last value
-    limit = budget.max_work
-    if length == 2:
-        capped, near, _ = _open_masks(caps)
-        if _range_work(1, top, capped, fall, top) > limit:
-            raise budget.refusal(_WALK_WORK)
-        yield 1, top, capped, near, 0, 0
-        return
-    drop = length - 2 in descents  # the word drops before its second-to-last value
-    for lo, hi, masks, held, spent in _pattern_walk(descents, caps, budget):
-        work = spent[0]
-        capped, near, twice = masks
-        for x in range(lo, hi):
-            bit = 1 << x
-            if capped & bit:
-                continue
-            full = capped | near & bit
-            first, end = (1, x) if drop else (x, top)
-            work += 1 + _range_work(first, end, full, fall, top)
-            if work > limit:
-                raise budget.refusal(_WALK_WORK)
-            yield first, end, full, near | twice & bit, held | bit, x
-        spent[0] = work
 
 
 def _one_value(caps: Sequence[int], budget: EnumerationBudget) -> int:
@@ -332,7 +288,8 @@ def _last_counts(
     the list, for v in 1..len(caps), counts the words ending in v, and
     entry 0 is 0.
 
-    Each second-to-last value ``a`` of a range of :func:`_second_ranges` is
+    The walk stops two positions short and hands over each second-to-last
+    range, which is charged before it is read.  Each value ``a`` of it is
     placed in a loop and marked once; a's last range is range(1, a) after a
     drop and range(a, len(caps) + 1) after an ascent, so after the walk one
     running sum of the marks counts, for each v, the ranges that hold v.
@@ -344,9 +301,15 @@ def _last_counts(
         free = _one_value(caps, budget)
         return [free >> v & 1 for v in range(top)]
     fall = descents.largest - 1 in descents
+    limit = budget.max_work
     marks = [0] * (top + 1)
     tally = [0] * top
-    for first, end, full, near, _, _ in _second_ranges(descents, caps, budget):
+    for first, end, masks, _, spent in _pattern_walk(descents, caps, budget, 2):
+        full, near, _ = masks
+        work = spent[0] + _range_work(first, end, full, fall, top)
+        if work > limit:
+            raise budget.refusal(_WALK_WORK)
+        spent[0] = work
         for a in range(first, end):
             bit = 1 << a
             if full & bit:
@@ -380,11 +343,12 @@ def _witness_counts(
     the last value is the missing one of 2..h when exactly one is missing
     (index h - 1), any value of 2..h of a's last range when none is (index
     h - 1), or h + 1 (index h).  The word counts toward the onto-full side
-    when it holds 1, and the onto-upper side otherwise.  A third-to-last
-    value after which more than two values of 2..h are missing completes
-    no witness; it is charged, as every one is, and skipped.  Each value
-    is capped at ``largest`` uses, which no value reaches before the last
-    position, so every second-to-last and last range is taken whole.
+    when it holds 1, and the onto-upper side otherwise.  The walk stops two
+    positions short, and each second-to-last range it hands over is
+    charged before it is read; a range handed over while more than two
+    values of 2..h are missing completes no witness and is skipped.  Each
+    value is capped at ``largest`` uses, which no value reaches before the
+    last position, so every second-to-last and last range is taken whole.
     """
     length = descents.largest
     caps = (length,) * _free_values(length)
@@ -393,8 +357,13 @@ def _witness_counts(
         return ((0, 0), (1, 0))  # of the words (1) and (2), only (2) ends above 1
     top = length + 2
     fall = length - 1 in descents
+    limit = budget.max_work
     sides = ([0] * top, [0] * top)  # onto-upper, onto-full, by index
-    for first, end, _, _, held, _ in _second_ranges(descents, caps, budget):
+    for first, end, masks, held, spent in _pattern_walk(descents, caps, budget, 2):
+        work = spent[0] + _range_work(first, end, masks[0], fall, top)
+        if work > limit:
+            raise budget.refusal(_WALK_WORK)
+        spent[0] = work
         high = max(held.bit_length(), 2) - 1  # the largest value held, or 1
         if (((1 << high + 1) - 4) & ~held).bit_count() > 2:
             continue
@@ -573,7 +542,7 @@ def count_prefix(
     tables: dict[tuple[int, int, int, int], _HandoverSums] = {}
     most = max(1, _TABLE_CELLS // top)  # the tables held at once
     total = 0
-    for lo, hi, masks, _, spent in _pattern_walk(descents, (m,) * n, budget):
+    for lo, hi, masks, _, spent in _pattern_walk(descents, (m,) * n, budget, 3):
         reach = hi if up else top - lo  # the steps that pass range(lo, hi)
         capped, one, two = masks
         if ahead:

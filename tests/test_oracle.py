@@ -339,6 +339,34 @@ def test_tally_kernels_charge_like_the_product_reference():
                     _last_counts(ds, caps, EnumerationBudget(least_work - 1))
 
 
+@pytest.mark.parametrize(
+    "elements,caps,least_work",
+    [
+        # the witness walk: caps None, every value of 1..max(I)+1 free
+        ((2, 4, 7), None, 120_830),
+        ((1, 3, 5, 8), None, 1_287_432),
+        ((3, 5, 6, 8), None, 699_192),
+        # the last-value walk, under binding and free caps
+        ((2, 4, 7), (2,) * 5, 3301),
+        ((1, 3, 5, 8), (2, 1, 3, 1, 2, 2, 1), 45_452),
+        ((3, 4, 5, 7), (7,) * 6, 2469),
+        ((2, 3, 6, 8), (3,) * 4, 1242),
+    ],
+)
+def test_tally_kernel_refusal_thresholds_are_pinned(elements, caps, least_work):
+    # the least max_work that answers, past the sets the product reference
+    # reaches: both kernels at max(I) 7 and 8
+    ds = DescentSet(elements)
+    if caps is None:
+        kernel, args = _witness_counts, (ds,)
+    else:
+        kernel, args = _last_counts, (ds, caps)
+    expected = kernel(*args)
+    assert kernel(*args, EnumerationBudget(least_work)) == expected
+    with pytest.raises(BudgetExceededError, match=f"max_work = {least_work - 1}$"):
+        kernel(*args, EnumerationBudget(least_work - 1))
+
+
 def test_count_prefix_agrees_with_count_naive_on_a_small_grid():
     # every (n, m) with n <= 5, m <= 4 and n*m <= 10: about 120,000 words,
     # each set's naive count read off one histogram per (n, m)

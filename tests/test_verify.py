@@ -53,6 +53,38 @@ def test_agreement_report_checks_the_bench_grid_in_its_recorded_order():
     assert report.passed
 
 
+@pytest.mark.parametrize(
+    "name,checks,digest",
+    [
+        (
+            "last_fixed_report",
+            1662,
+            "1a4fbb2f5068d0f121e6341f9373354f87bed53ac09c0e4cf1f9e22552540230",
+        ),
+        (
+            "window_report",
+            1919,
+            "42e234ff1b02d42f18d8d965069359444a9559e2fa1b7ee174c466c4b5d84ec1",
+        ),
+        (
+            "witness_split_report",
+            930,
+            "333185cbf4f6656409124c3d28112749432bea0279cd9fd92de3ada8e48a297e",
+        ),
+    ],
+)
+def test_walk_reports_check_their_default_grids_in_their_recorded_order(
+    name, checks, digest
+):
+    # sha256 of the (claim, expected, actual) triples of the three reports
+    # the witness and last-value walks feed, at their default grids
+    report = getattr(verify, name)()
+    triples = [(c.claim, c.expected, c.actual) for c in report.checks]
+    assert len(triples) == checks
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == digest
+    assert report.passed
+
+
 def test_agreement_report_default_grid_is_wider_than_the_bench_grid():
     report = verify.agreement_report()
     assert len(report.checks) == 2461
