@@ -1,13 +1,15 @@
 """Brute-force counters that serve as ground truth for the formula routes.
 
-They count words one at a time, one range at a time or, in the histogram,
-one prefix state at a time, never by a formula of the routes they check, and
-they are trusted because the ``itertools.product`` and permutation
-references in ``tests/test_oracle.py`` agree with them.
-:func:`descent_histogram` tallies every word of one (n, m) by one
-left-to-right transfer over (values left, last value) states, each holding
-its words by descent mask, and :func:`count_naive` reads one set off it.
-Every other counter counts over one walker, ``_pattern_walk``, which lists
+They count words one at a time, one range at a time or one prefix state at
+a time, never by a formula of the routes they check, and they are trusted
+because the ``itertools.product`` and permutation references in
+``tests/test_oracle.py`` agree with them.  Two left-to-right transfers
+merge prefixes by state.  ``_content_words``, over (uses left, last value)
+states with the drop pattern enforced at every position, counts the words
+of one content for :func:`count_naive` and :func:`count_content`;
+:func:`last_value_counts`, over the last value alone, tallies the words
+whose values repeat freely by last value, one prefix or suffix sum a step.
+The other counters count over one walker, ``_pattern_walk``, which lists
 words with a prescribed drop pattern and per-value caps on an explicit
 stack, without merging words, and stops as many positions short as its
 caller asks, handing over the next range with three bit masks, of the
@@ -15,20 +17,22 @@ values at most zero, one and two uses below their caps, and the mask of
 the values held; it keeps each mask in O(1) a step.  ``count_prefix``
 stops three positions short and reads what each third-to-last range
 counts and charges off prefix tables keyed by the masks, built once per
-call for each key, so a handover costs O(1) once its table is built.  Two
-kernels stop two positions short and place the second-to-last value in a
-loop of their own: ``_last_counts`` tallies the words by last value, and
-:func:`witness_counts` the witnesses of every coefficient index.
-:func:`onto_counts` reads the witnesses off the last-value tallies by
-inclusion-exclusion, so the two kernels check each other.  The budget is
-charged in one unit: 1 per value placed before the last position, and the
-size of each last range; each kernel charges a second-to-last range it is
-handed, or that a third-to-last range holds, before it counts it.
+call for each key, so a handover costs O(1) once its table is built.
+:func:`witness_counts` stops two positions short and places the
+second-to-last value in a loop of its own, tallying the witnesses of every
+coefficient index; :func:`onto_counts` reads the same split off the
+last-value tallies by inclusion-exclusion, so a walk and a transfer check
+each other.  A walk charges the budget in one unit: 1 per value placed
+before the last position, and the size of each last range, and it charges
+a second-to-last range it is handed, or that a third-to-last range holds,
+before it counts it.  The naive count is charged its arrangements and the
+last-value transfer its entries, both before they start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from typing import Iterator, Sequence
 
@@ -52,7 +56,8 @@ class EnumerationBudget:
     stores, the 64-bit words of the state's packed key past the first (so
     the budget bounds the memory its keys take), and coefficient
     extraction, against the default budget, its closed-form products and
-    difference-table subtractions.  Passing it raises
+    difference-table subtractions, as the last-value transfer does its
+    ``largest`` * n entries.  Passing it raises
     ``BudgetExceededError`` naming ``max_work``."""
 
     max_work: int = 10_000_000
@@ -70,22 +75,43 @@ _WALK_WORK = "values placed by a word walk"  # what a walk's refusal names
 _TABLE_CELLS = 1 << 16  # count_prefix holds this many over n + 1 tables at once
 
 
-def descent_histogram(
-    n: int, m: int, budget: EnumerationBudget | None = None
-) -> dict[DescentSet, int]:
-    """Tally the descent sets of all words holding each of 1..n exactly m times.
+def _content_words(parts: tuple[int, ...], drops: set[int]) -> int:
+    """Count the words holding value v exactly ``parts[v-1]`` times whose
+    strict drops sit exactly at ``drops``, positions before the last.
 
-    One left-to-right transfer: a layer maps each state, the counts of the
-    values still to place and the last value placed, to the words of its
-    prefixes by descent mask (bit p: a strict drop after position p + 1).
-    Placing a value below the last one sets the bit of the drop, and only
-    two layers are alive at once.  A layer holds no more entries than there
-    are distinct prefixes of its length, so no more than the arrangements.
-    At the end the masks are merged across states and become
-    ``DescentSet`` keys; sets no word realizes are absent, and nothing is
-    kept across calls.  Refuses to start when the (n*m)! / (m!)**n
-    arrangements, or the n*m cells of one word, exceed the budget's
-    ``max_work``; the one word of n = 1 is answered without a walk.
+    One left-to-right transfer: a layer maps each state, the uses of each
+    value still to place and the last value placed (0 before the first), to
+    the number of prefixes that reach it.  At a drop only a smaller value is
+    offered, elsewhere only one at least the last, so every prefix keeps the
+    pattern and the last layer holds the answer.  Only two layers are alive
+    at once, and a layer holds no more states than there are distinct
+    prefixes of its length.
+    """
+    top = len(parts) + 1
+    layer = {(parts, 0): 1}
+    for pos in range(sum(parts)):
+        nxt: dict[tuple[tuple[int, ...], int], int] = {}
+        fall = pos in drops  # the value placed here drops from the last one
+        for (left, last), words in layer.items():
+            for v in range(1, last) if fall else range(last or 1, top):
+                c = left[v - 1]
+                if c:
+                    key = left[: v - 1] + (c - 1,) + left[v:], v
+                    nxt[key] = nxt.get(key, 0) + words
+        layer = nxt
+    return sum(layer.values())
+
+
+def count_naive(
+    descents: DescentSet, n: int, m: int, budget: EnumerationBudget | None = None
+) -> int:
+    """Count words holding each of 1..n exactly m times with this descent set.
+
+    Full enumeration: :func:`_content_words` on the content (m,)*n, the
+    drops enforced at every position.  Refuses to start when the n*m cells
+    of one word, or else the (n*m)! / (m!)**n arrangements, exceed the
+    budget's ``max_work``; the one word of n = 1 is answered without a
+    layer, and a set reaching the last position counts 0.
     """
     require_positive(n=n, m=m)
     budget = budget or DEFAULT_BUDGET
@@ -94,47 +120,15 @@ def descent_histogram(
     if cells > budget.max_work:
         raise budget.refusal(work)
     if n == 1:
-        return {DescentSet(): 1}  # the one sorted word
+        return int(not descents)  # the one sorted word
     arrangements = 1  # one copy of one value at a time: it never shrinks
     for size in range(1, cells + 1):
         arrangements = arrangements * size // ((size - 1) // n + 1)
         if arrangements > budget.max_work:
             raise budget.refusal(work)
-    # (counts left of 1..n, last value or 0) -> descent mask -> words
-    layer = {((m,) * n, 0): {0: 1}}
-    for pos in range(cells):
-        nxt: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
-        for (left, last), masks in layer.items():
-            for v, c in enumerate(left, 1):
-                if not c:
-                    continue
-                into = nxt.setdefault((left[: v - 1] + (c - 1,) + left[v:], v), {})
-                bit = 1 << pos - 1 if v < last else 0  # a drop after position pos
-                for mask, words in masks.items():
-                    mask |= bit
-                    into[mask] = into.get(mask, 0) + words
-        layer = nxt
-    merged: dict[int, int] = {}
-    for masks in layer.values():
-        for mask, words in masks.items():
-            merged[mask] = merged.get(mask, 0) + words
-    return {
-        DescentSet._of(tuple(p + 1 for p in range(cells - 1) if mask >> p & 1)): words
-        for mask, words in merged.items()
-    }
-
-
-def count_naive(
-    descents: DescentSet, n: int, m: int, budget: EnumerationBudget | None = None
-) -> int:
-    """Count words holding each of 1..n exactly m times with this descent set.
-
-    Its entry of :func:`descent_histogram`, with the same refusals: the
-    transfer tallies every word by its mask, whichever set is asked for, so
-    one call costs as much as the whole histogram; read several sets off one
-    histogram instead.
-    """
-    return descent_histogram(n, m, budget).get(descents, 0)
+    if descents and descents.largest >= cells:
+        return 0
+    return _content_words((m,) * n, set(descents.elements))
 
 
 def _range_work(first: int, end: int, capped: int, fall: bool, top: int) -> int:
@@ -271,67 +265,6 @@ def _pattern_walk(
         pos += 1
 
 
-def _one_value(caps: Sequence[int], budget: EnumerationBudget) -> int:
-    """The mask of the words of one value, the values below their caps: a
-    last range alone, charged in full."""
-    if len(caps) > budget.max_work:
-        raise budget.refusal(_WALK_WORK)
-    return sum(1 << v for v, c in enumerate(caps, 1) if c)
-
-
-def _last_counts(
-    descents: DescentSet,
-    caps: Sequence[int],
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> list[int]:
-    """Count the words of :func:`_pattern_walk` by last value: entry v of
-    the list, for v in 1..len(caps), counts the words ending in v, and
-    entry 0 is 0.
-
-    The walk stops two positions short and hands over each second-to-last
-    range, which is charged before it is read.  Each value ``a`` of it is
-    placed in a loop and marked once; a's last range is range(1, a) after a
-    drop and range(a, len(caps) + 1) after an ascent, so after the walk one
-    running sum of the marks counts, for each v, the ranges that hold v.
-    The values at their caps once ``a`` is placed hold no last place: each
-    is taken off its own entry as it is met.
-    """
-    top = len(caps) + 1
-    if descents.largest == 1:
-        free = _one_value(caps, budget)
-        return [free >> v & 1 for v in range(top)]
-    fall = descents.largest - 1 in descents
-    limit = budget.max_work
-    marks = [0] * (top + 1)
-    tally = [0] * top
-    for first, end, masks, _, spent in _pattern_walk(descents, caps, budget, 2):
-        full, near, _ = masks
-        work = spent[0] + _range_work(first, end, full, fall, top)
-        if work > limit:
-            raise budget.refusal(_WALK_WORK)
-        spent[0] = work
-        for a in range(first, end):
-            bit = 1 << a
-            if full & bit:
-                continue
-            marks[a] += 1
-            rest = (full | near & bit) & (bit - 2 if fall else -bit)
-            while rest:
-                low = rest & -rest
-                tally[low.bit_length() - 1] -= 1
-                rest ^= low
-    run = 0
-    if fall:  # v lies in range(1, a) for every a above it
-        for v in range(top - 1, 0, -1):
-            run += marks[v + 1]
-            tally[v] += run
-    else:  # v lies in range(a, top) for every a up to it
-        for v in range(1, top):
-            run += marks[v]
-            tally[v] += run
-    return tally
-
-
 def _witness_counts(
     descents: DescentSet, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> tuple[tuple[int, int], ...]:
@@ -352,8 +285,9 @@ def _witness_counts(
     """
     length = descents.largest
     caps = (length,) * _free_values(length)
-    if length == 1:
-        _one_value(caps, budget)
+    if length == 1:  # one last range alone, charged in full
+        if len(caps) > budget.max_work:
+            raise budget.refusal(_WALK_WORK)
         return ((0, 0), (1, 0))  # of the words (1) and (2), only (2) ends above 1
     top = length + 2
     fall = length - 1 in descents
@@ -575,23 +509,31 @@ def count_content(parts: Sequence[int], descents: DescentSet) -> int:
     Value j (1-based) must appear exactly ``parts[j-1]`` times, and the strict
     drops must sit exactly at the descent set without its largest element.
     Only the relative order of values matters, so this count is the same for
-    any alphabet of ``len(parts)`` values.  No counting route or report uses
-    it: only the tests and the bench's ``oracle.count_content`` rows do.
+    any alphabet of ``len(parts)`` values.  Counted by
+    :func:`_content_words`, which refuses to start when the content's
+    arrangements exceed the default budget.  No counting route or report
+    uses it: only the tests and the bench's ``oracle.count_content`` rows do.
     """
     parts = strict_ints(parts, "content parts", 1)
     if sum(parts) != descents.largest:
         raise DomainError(f"content sums to {sum(parts)}, expected {descents.largest}")
-    # Caps that add up to the length are met exactly by every word.
-    return sum(_last_counts(descents, parts))
+    arrangements = 1
+    for placed, c in zip(accumulate(parts), parts):
+        arrangements *= comb(placed, c)
+        if arrangements > DEFAULT_BUDGET.max_work:
+            raise DEFAULT_BUDGET.refusal(f"full enumeration of {len(parts)} values")
+    return _content_words(parts, set(descents.elements[:-1]))
 
 
 def _free_values(i: int) -> int:
     """The i + 1 values of the words over 1..i+1, each free to repeat, that
-    the witness and last-value counts walk, once the index ``i`` is checked.
+    the witness counts of index ``i`` range over, once ``i`` is checked.
 
-    A walk charges every free value at least once (placed at position 1,
-    offered in the first range, or counted in the one last range), so more
-    free values than ``max_work`` are refused before any cap is built.
+    The witness walk charges every free value at least once (placed at
+    position 1, offered in the first range, or counted in the one last
+    range), and a last-value transfer holds an entry for each at every
+    position, so more free values than ``max_work`` are refused before any
+    per-value list is built.
     """
     strict_ints((i,), "coefficient index", 0)
     if i + 1 > DEFAULT_BUDGET.max_work:
@@ -605,12 +547,23 @@ def last_value_counts(descents: DescentSet, n: int) -> tuple[int, ...]:
     words ending in j.
 
     No multiplicity cap applies here; every value may repeat freely.  One
-    walk tallies every last value, so this costs what one
-    :func:`count_last_fixed` does.
+    left-to-right transfer over the last value: entry v - 1 counts the
+    prefixes so far that end in v, one each at the first position, and a
+    step makes it the sum of the entries above v at a drop, a suffix sum,
+    and of those up to v elsewhere, a prefix sum.  It charges its
+    ``largest`` * n entries to the default budget before it builds any.
     """
     require_positive(n=n)
-    caps = (descents.largest,) * _free_values(n - 1)
-    return tuple(_last_counts(descents, caps)[1:])
+    length = descents.largest
+    if length * n > DEFAULT_BUDGET.max_work:
+        raise DEFAULT_BUDGET.refusal(f"last-value transfer of {length} * {n} entries")
+    ends = [1] * n
+    for p in range(1, length):
+        if p in descents:  # entry v: the entries above v
+            ends = [*accumulate(reversed(ends))][::-1][1:] + [0]
+        else:  # entry v: the entries up to v
+            ends = [*accumulate(ends)]
+    return tuple(ends)
 
 
 def count_last_fixed(descents: DescentSet, n: int, j: int) -> int:
@@ -628,9 +581,10 @@ def witness_counts(descents: DescentSet) -> tuple[tuple[int, int], ...]:
     Their sum at i is ``count_coeff_witnesses(descents, i)``, and past
     ``largest`` every witness counter counts nothing.  The trio reads
     :func:`onto_counts` instead, whose rows come from the last-value
-    tallies: a second kernel over the same walk, so the two tables check
-    each other.  The walk charges what ``last_value_counts(descents,
-    largest + 1)`` charges, and refuses where it does.
+    tallies of :func:`last_value_counts`, so the two tables check
+    each other: a walk that lists every word against a transfer that
+    merges them by last value.  The walk is charged to the default budget:
+    the values it places and those it offers to the last position.
     """
     return _witness_counts(descents)
 
@@ -647,11 +601,11 @@ def onto_counts(descents: DescentSet, i: int) -> tuple[tuple[int, int], ...]:
     of (-1)**(k+1-t) (C(k, t-1) A(t) + C(k, t) B(t)).  A word holds at most
     ``largest`` values, so the rows past ``largest`` are (0, 0).  With t' =
     min(i, largest), the tallies run for t = t'+1 down to 1, widest first,
-    so a refusal costs that one walk.  Each walk is charged to the default
-    budget on its own; on the sets within {1..7} all of them together
-    charge at most 2.72 times what the widest one does.
+    so the widest transfer is charged, and refused, before any other runs.
+    Each transfer is charged ``largest`` * t to the default budget on its
+    own.
     """
-    _free_values(i)  # refuses a bad or too wide index before any walk
+    _free_values(i)  # refuses a bad or too wide index before any transfer
     top = min(i, descents.largest)
     every, below = [0] * (top + 2), [0] * (top + 2)  # B(t), A(t)
     for t in range(top + 1, 0, -1):

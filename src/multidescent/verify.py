@@ -79,26 +79,21 @@ def agreement_report(
 ) -> Iterator[Check]:
     """All four routes give the same count on the grid.
 
-    The enumeration side is one :func:`oracle.descent_histogram` per (n, m),
-    made when the grid first reaches that pair, so every set is read off
-    the same full enumeration.  The default grid reaches n = 6, 2461
-    checks; the (6, 2) histogram, 7,484,400 words tallied by one
-    left-to-right transfer, is the largest part of its time.  Every route
-    answers n*m <= largest with 0, but the determinant route is checked
-    only where n*m > largest: the check count at the benchmark's grid (457
-    at top=4, n_max=4, m_max=3, cells_max=12) is a recorded reference, so
-    the guard stays.
+    The enumeration side is one :func:`oracle.count_naive` per (set, n, m),
+    a transfer with the set's drops enforced at every position.  The
+    default grid reaches n = 6, 2461 checks.  Every route answers n*m <=
+    largest with 0, but the determinant route is checked only where n*m >
+    largest: the check count at the benchmark's grid (457 at top=4,
+    n_max=4, m_max=3, cells_max=12) is a recorded reference, so the guard
+    stays.
     """
     strict_ints((n_max, m_max, cells_max), "grid bounds", 1)
-    histograms: dict[tuple[int, int], dict[DescentSet, int]] = {}
     for ds in descent_sets_up_to(top):
         for n in range(1, n_max + 1):
             for m in range(1, m_max + 1):
                 if n * m > cells_max:
                     continue
-                if (n, m) not in histograms:
-                    histograms[n, m] = oracle.descent_histogram(n, m)
-                reference = histograms[n, m].get(ds, 0)
+                reference = oracle.count_naive(ds, n, m)
                 yield Check(
                     f"{ds} n={n} m={m}: prefix route matches enumeration",
                     reference,
@@ -183,7 +178,7 @@ def stable_form_report(top: int = 5, span: int = 3) -> Iterator[Check]:
 @_report("last-value formula")
 def last_fixed_report(top: int = 6, span: int = 3) -> Iterator[Check]:
     """The last-value formula matches brute force for every last value,
-    all of them read off one walk per (set, n)."""
+    all of them read off one transfer per (set, n)."""
     strict_ints((span,), "grid bounds", 0)
     for ds in descent_sets_up_to(top):
         for n in range(ds.largest, ds.largest + span + 1):
@@ -401,7 +396,7 @@ def witness_split_report(top: int = 6) -> Iterator[Check]:
     count of the descent set without its largest element; both sets' counts
     come from their tables, which read 0 past their end, where a word of
     ``largest`` values cannot hold every value the index asks for.  The
-    last-value counts of one walk per (set, n) also sum, over last values
+    last-value counts of one transfer per (set, n) also sum, over last values
     2..n, to the stabilized enumeration.
     """
     for ds in descent_sets_up_to(top):

@@ -10,7 +10,6 @@ import sys
 import time
 from collections import Counter
 from itertools import permutations, product
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,8 @@ from hypothesis import strategies as st
 
 from multidescent import oracle
 from multidescent.core import BudgetExceededError, DescentSet, DomainError, descent_set
-from multidescent.formulas import stabilization_point
+from multidescent.formulas import last_fixed_formula, stabilization_point
+from multidescent.polybasis import extract_coeffs
 from multidescent.schur import count_via_jacobi_trudi
 from multidescent.oracle import (
     EnumerationBudget,
@@ -29,11 +29,9 @@ from multidescent.oracle import (
     count_onto_full,
     count_onto_upper,
     count_prefix,
-    descent_histogram,
     last_value_counts,
     onto_counts,
     witness_counts,
-    _last_counts,
     _witness_counts,
 )
 from multidescent.verify import descent_sets_up_to
@@ -79,60 +77,39 @@ def test_count_naive_budget_refusal_names_the_bound():
         count_naive(DescentSet((2,)), 3, 2, budget=EnumerationBudget(89))
     assert count_naive(DescentSet((2,)), 3, 2, budget=EnumerationBudget(90)) == 5
     # 12! arrangements, and one word of 10**11 cells, refused before any work
-    with pytest.raises(BudgetExceededError, match="max_work = 10000000"):
+    refused = "full enumeration at n = 12, m = 1, more than max_work = 10000000"
+    with pytest.raises(BudgetExceededError, match=refused):
         count_naive(DescentSet((2,)), 12, 1)
     with pytest.raises(BudgetExceededError, match="max_work = 10000000"):
         count_naive(DescentSet((5,)), 1, 10**11)
 
 
-def test_descent_histogram_tallies_every_arrangement_once():
-    for n in range(1, 11):
-        for m in range(1, 10 // n + 1):
-            histogram = descent_histogram(n, m)
-            assert sum(histogram.values()) == factorial(n * m) // factorial(m) ** n
-            assert histogram[DescentSet()] == 1  # the sorted word
-            # count_prefix needs about 2.4 s of CPU for the 512 sets of
-            # n = 10, m = 1
-            route = count_via_jacobi_trudi if n == 10 else count_prefix
-            for ds, count in histogram.items():
-                assert count == route(ds, n, m), (ds, n, m)
-
-
-def test_descent_histogram_refuses_like_count_naive():
-    with pytest.raises(BudgetExceededError, match="max_work = 89"):
-        descent_histogram(3, 2, EnumerationBudget(89))
-    assert descent_histogram(3, 2, EnumerationBudget(90))[DescentSet((2,))] == 5
-    with pytest.raises(BudgetExceededError, match="n = 12, m = 1, more than"):
-        descent_histogram(12, 1)
-    with pytest.raises(DomainError):
-        descent_histogram(0, 2)
-
-
-def test_descent_histogram_matches_the_permutation_set_whole():
-    # every key and count, at every (n, m) of at most 8 cells: n = 1 answered
-    # without a walk, and the transfer's drops at every position of a word
+def test_count_naive_matches_the_permutation_set_whole():
+    # every set within {1..n*m - 1} and the empty one, at every (n, m) of at
+    # most 8 cells: n = 1 answered without a layer, and the transfer's drops
+    # at every position of a word; the counts add up to every word
     for n in range(1, 9):
         for m in range(1, 8 // n + 1):
-            expected = Counter(descent_set(w) for w in multiset_words(n, m))
-            assert descent_histogram(n, m) == dict(expected), (n, m)
-
-
-def test_descent_histogram_counts_each_word_by_one_increment():
-    # 7,484,400 words: one step per word needs about twice this bound; the
-    # transfer adds the words of each (state, mask) entry at once, and its
-    # layers hold far fewer entries than there are words
-    start = time.process_time()
-    histogram = descent_histogram(6, 2)
-    assert time.process_time() - start < 3
-    assert sum(histogram.values()) == factorial(12) // 2**6 == 7_484_400
+            words = multiset_words(n, m)
+            expected = Counter(descent_set(w) for w in words)
+            sets = descent_sets_up_to(n * m - 1) if n * m > 1 else []
+            counts = {ds: count_naive(ds, n, m) for ds in [DescentSet(), *sets]}
+            assert sum(counts.values()) == len(words), (n, m)
+            for ds, count in counts.items():
+                assert count == expected[ds], (ds, n, m)
 
 
 @pytest.mark.parametrize(
-    "n,m,words",
-    [(1, 10**7, 1), (2, 12, 2_704_156), (6, 2, 7_484_400), (10, 1, 3_628_800)],
+    "n,m,elements",
+    [
+        (1, 10**7, (5,)),
+        (2, 12, (3, 7, 11, 15)),
+        (6, 2, (2, 5, 8)),
+        (10, 1, (2, 4, 6, 8)),
+    ],
 )
-def test_descent_histogram_answers_under_a_memory_cap(
-    run_under_address_limit, n, m, words
+def test_count_naive_answers_under_a_memory_cap(
+    run_under_address_limit, n, m, elements
 ):
     # the largest points within the default budget, 10**7 cells of one value
     # and 24!/12!**2, 12!/2**6 and 10! arrangements, each answered in 64 MB
@@ -141,11 +118,11 @@ def test_descent_histogram_answers_under_a_memory_cap(
     resource = pytest.importorskip("resource")
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     code, out, err = run_under_address_limit(
-        64, f"sum(oracle.descent_histogram({n}, {m}).values())"
+        64, f"oracle.count_naive(DescentSet({elements}), {n}, {m})"
     )
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     assert code == 0, err
-    assert out.split() == [str(words)]
+    assert out.split() == [str(count_via_jacobi_trudi(DescentSet(elements), n, m))]
     if n == 1:
         cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
         assert cpu < 1
@@ -159,8 +136,8 @@ def test_descent_histogram_answers_under_a_memory_cap(
 )
 @settings(max_examples=100, deadline=None)
 def test_count_naive_agrees_with_count_prefix(elements, size):
-    # n = 10, m = 1 is drawn too: the transfer tallies its 10! words in
-    # about 0.15 s, so the ten or so draws of it stay cheap
+    # n = 10, m = 1 is drawn too: the transfer counts one set of its 10!
+    # words in about 0.01 s, so the ten or so draws of it stay cheap
     ds = DescentSet(elements)
     n, m = size
     assert count_naive(ds, n, m) == count_prefix(ds, n, m)
@@ -316,10 +293,9 @@ def test_walk_charges_match_a_product_reference():
 
 
 def test_tally_kernels_charge_like_the_product_reference():
-    # the witness table walks the words over 1..max(I)+1 and the last-value
-    # tally those over 1..n, each value free: the least max_work that
-    # answers is the reference charge of the same caps, as for the prefix
-    # route, and the last-value kernel keeps it under binding caps too
+    # the witness table walks the words over 1..max(I)+1, each value free:
+    # the least max_work that answers is the reference charge of the same
+    # caps, as for the prefix route
     for ds in descent_sets_up_to(6):
         d = ds.largest
         least_work = _walk_charge(ds, (d,) * (d + 1))
@@ -329,52 +305,29 @@ def test_tally_kernels_charge_like_the_product_reference():
             refused = f"max_work = {least_work - 1}$"
             with pytest.raises(BudgetExceededError, match=refused):
                 _witness_counts(ds, EnumerationBudget(least_work - 1))
-        for caps in ((d,) * 2, (d,) * (d + 1), (2, 1, 3, 1), (0, 2, 1, 2)):
-            least_work = _walk_charge(ds, caps)
-            tally = _last_counts(ds, caps)
-            assert _last_counts(ds, caps, EnumerationBudget(least_work)) == tally
-            if least_work > 1:
-                refused = f"max_work = {least_work - 1}$"
-                with pytest.raises(BudgetExceededError, match=refused):
-                    _last_counts(ds, caps, EnumerationBudget(least_work - 1))
 
 
 @pytest.mark.parametrize(
-    "elements,caps,least_work",
-    [
-        # the witness walk: caps None, every value of 1..max(I)+1 free
-        ((2, 4, 7), None, 120_830),
-        ((1, 3, 5, 8), None, 1_287_432),
-        ((3, 5, 6, 8), None, 699_192),
-        # the last-value walk, under binding and free caps
-        ((2, 4, 7), (2,) * 5, 3301),
-        ((1, 3, 5, 8), (2, 1, 3, 1, 2, 2, 1), 45_452),
-        ((3, 4, 5, 7), (7,) * 6, 2469),
-        ((2, 3, 6, 8), (3,) * 4, 1242),
-    ],
+    "elements,least_work",
+    [((2, 4, 7), 120_830), ((1, 3, 5, 8), 1_287_432), ((3, 5, 6, 8), 699_192)],
 )
-def test_tally_kernel_refusal_thresholds_are_pinned(elements, caps, least_work):
+def test_tally_kernel_refusal_thresholds_are_pinned(elements, least_work):
     # the least max_work that answers, past the sets the product reference
-    # reaches: both kernels at max(I) 7 and 8
+    # reaches: the witness walk at max(I) 7 and 8
     ds = DescentSet(elements)
-    if caps is None:
-        kernel, args = _witness_counts, (ds,)
-    else:
-        kernel, args = _last_counts, (ds, caps)
-    expected = kernel(*args)
-    assert kernel(*args, EnumerationBudget(least_work)) == expected
+    expected = _witness_counts(ds)
+    assert _witness_counts(ds, EnumerationBudget(least_work)) == expected
     with pytest.raises(BudgetExceededError, match=f"max_work = {least_work - 1}$"):
-        kernel(*args, EnumerationBudget(least_work - 1))
+        _witness_counts(ds, EnumerationBudget(least_work - 1))
 
 
 def test_count_prefix_agrees_with_count_naive_on_a_small_grid():
     # every (n, m) with n <= 5, m <= 4 and n*m <= 10: about 120,000 words,
-    # each set's naive count read off one histogram per (n, m)
+    # counted once for each set
     for n in range(1, 6):
         for m in range(1, min(4, 10 // n) + 1):
-            histogram = descent_histogram(n, m)
             for ds in descent_sets_up_to(6):
-                expected = histogram.get(ds, 0)
+                expected = count_naive(ds, n, m)
                 assert count_prefix(ds, n, m) == expected, (ds, n, m)
 
 
@@ -556,17 +509,21 @@ def test_tallies_match_a_product_reference():
             assert last_value_counts(ds, n) == expected, (ds, n)
 
 
-def test_last_counts_counts_every_capped_word():
-    # the last three positions are counted outside the walk; every capped word
-    # must still count once for its last value
-    for ds in descent_sets_up_to(5):
-        for caps in ((1, 2, 1), (0, 2, 3), (2, 0, 1, 2), (ds.largest,) * 3):
-            values = range(1, len(caps) + 1)
-            by_last = [0] * (len(caps) + 1)
-            for w in _pattern_reference(ds, len(caps)):
-                if all(w.count(v) <= caps[v - 1] for v in values):
-                    by_last[w[-1]] += 1
-            assert _last_counts(ds, caps) == by_last, (ds, caps)
+@given(st.sets(st.integers(1, 80), min_size=1, max_size=40))
+@settings(max_examples=25, deadline=None)
+def test_last_value_transfer_reaches_max_eighty(elements):
+    # past the sets any walk reaches: the last-value tallies against the
+    # closed form at each last value, and the witness rows read off them
+    # against the offset -1 coefficients
+    ds = DescentSet(elements)
+    d = ds.largest
+    for n in range(d, d + 3):
+        counts = last_value_counts(ds, n)
+        for j in range(1, n + 1):
+            assert counts[j - 1] == last_fixed_formula(ds, n, j), (ds, n, j)
+    poly = extract_coeffs(ds, -1)
+    rows = onto_counts(ds, d)
+    assert [sum(row) for row in rows] == [poly.coefficient(i) for i in range(d + 1)]
 
 
 def test_count_prefix_matches_a_product_reference():
@@ -591,13 +548,17 @@ def test_walks_have_no_recursion_ceiling():
 def test_walks_refuse_a_huge_alphabet_or_word_before_allocating():
     # every value of the alphabet, or every position but the last, would
     # cost at least 1, so each call is refused before the walk builds its
-    # per-value caps or per-position lists (8 TB here)
+    # per-value caps or per-position lists (8 TB here); the last-value
+    # transfer is charged its 2 * 10**7 entries before it builds one, and
+    # a content of 12! arrangements is refused before its transfer starts
     huge = DescentSet((10**12,))
     for call in (
         lambda: count_prefix(huge, 2, 10**12),
         lambda: count_prefix(DescentSet((2,)), 10**12, 1),
         lambda: count_coeff_witnesses(huge, 1),
         lambda: count_last_fixed(huge, 3, 2),
+        lambda: last_value_counts(DescentSet((2,)), 10**7),
+        lambda: count_content((1,) * 12, DescentSet((12,))),
     ):
         start = time.process_time()
         with pytest.raises(BudgetExceededError, match="max_work = 10000000$"):
@@ -612,10 +573,6 @@ def test_walks_refuse_a_range_before_working_through_it():
     # a word can hold, and reads 0
     over = "max_work = 10000000"
     for ds in (DescentSet((2,)), DescentSet((1, 2))):
-        with pytest.raises(BudgetExceededError, match=over):
-            _last_counts(ds, (1,) * 10**6)
-        with pytest.raises(BudgetExceededError, match=over):
-            _last_counts(ds, (2,) * 10**5)
         with pytest.raises(BudgetExceededError, match=over):
             count_prefix(ds, 10**6, 1)
         assert count_coeff_witnesses(ds, 10**5) == 0
