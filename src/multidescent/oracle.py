@@ -26,15 +26,15 @@ each other.  A walk charges the budget in one unit: 1 per value placed
 before the last position, and the size of each last range, and it charges
 a second-to-last range it is handed, or that a third-to-last range holds,
 before it counts it.  The naive count is charged its arrangements and the
-last-value transfer its entries, both before they start.
+last-value transfers their entries, all before they start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     BudgetExceededError,
@@ -73,6 +73,22 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 _WALK_WORK = "values placed by a word walk"  # what a walk's refusal names
 _TABLE_CELLS = 1 << 16  # count_prefix holds this many over n + 1 tables at once
+
+
+def _refuse_arrangements(
+    parts: Iterable[int], budget: EnumerationBudget, work: str
+) -> None:
+    """Refuse a content, its ``parts`` read lazily largest first, once its
+    arrangements pass ``max_work``: each copy placed after the largest part
+    at least doubles the running multinomial, so it takes a few dozen steps."""
+    rest = iter(parts)
+    placed, arrangements = next(rest), 1
+    for c in rest:
+        for j in range(1, c + 1):
+            placed += 1
+            arrangements = arrangements * placed // j
+            if arrangements > budget.max_work:
+                raise budget.refusal(work)
 
 
 def _content_words(parts: tuple[int, ...], drops: set[int]) -> int:
@@ -121,11 +137,7 @@ def count_naive(
         raise budget.refusal(work)
     if n == 1:
         return int(not descents)  # the one sorted word
-    arrangements = 1  # one copy of one value at a time: it never shrinks
-    for size in range(1, cells + 1):
-        arrangements = arrangements * size // ((size - 1) // n + 1)
-        if arrangements > budget.max_work:
-            raise budget.refusal(work)
+    _refuse_arrangements(repeat(m, n), budget, work)
     if descents and descents.largest >= cells:
         return 0
     return _content_words((m,) * n, set(descents.elements))
@@ -510,18 +522,15 @@ def count_content(parts: Sequence[int], descents: DescentSet) -> int:
     drops must sit exactly at the descent set without its largest element.
     Only the relative order of values matters, so this count is the same for
     any alphabet of ``len(parts)`` values.  Counted by
-    :func:`_content_words`, which refuses to start when the content's
+    :func:`_content_words`, and refused before it starts when the content's
     arrangements exceed the default budget.  No counting route or report
     uses it: only the tests and the bench's ``oracle.count_content`` rows do.
     """
     parts = strict_ints(parts, "content parts", 1)
     if sum(parts) != descents.largest:
         raise DomainError(f"content sums to {sum(parts)}, expected {descents.largest}")
-    arrangements = 1
-    for placed, c in zip(accumulate(parts), parts):
-        arrangements *= comb(placed, c)
-        if arrangements > DEFAULT_BUDGET.max_work:
-            raise DEFAULT_BUDGET.refusal(f"full enumeration of {len(parts)} values")
+    work = f"full enumeration of {len(parts)} values"
+    _refuse_arrangements(sorted(parts, reverse=True), DEFAULT_BUDGET, work)
     return _content_words(parts, set(descents.elements[:-1]))
 
 
@@ -600,13 +609,15 @@ def onto_counts(descents: DescentSet, i: int) -> tuple[tuple[int, int], ...]:
     (-1)**(k-t) C(k, t) B(t), and onto_full(k) the sum over 1 <= t <= k+1
     of (-1)**(k+1-t) (C(k, t-1) A(t) + C(k, t) B(t)).  A word holds at most
     ``largest`` values, so the rows past ``largest`` are (0, 0).  With t' =
-    min(i, largest), the tallies run for t = t'+1 down to 1, widest first,
-    so the widest transfer is charged, and refused, before any other runs.
-    Each transfer is charged ``largest`` * t to the default budget on its
-    own.
+    min(i, largest), the tallies run for t = t'+1 down to 1, widest first.
+    Their ``largest`` * (t'+1) * (t'+2) / 2 entries in all are charged to
+    the default budget, and refused, before any transfer runs.
     """
     _free_values(i)  # refuses a bad or too wide index before any transfer
     top = min(i, descents.largest)
+    entries = descents.largest * (top + 1) * (top + 2) // 2
+    if entries > DEFAULT_BUDGET.max_work:
+        raise DEFAULT_BUDGET.refusal(f"last-value transfers of {entries} entries")
     every, below = [0] * (top + 2), [0] * (top + 2)  # B(t), A(t)
     for t in range(top + 1, 0, -1):
         counts = last_value_counts(descents, t)
