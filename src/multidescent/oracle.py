@@ -3,30 +3,29 @@
 They count words one at a time, one range at a time or one prefix state at
 a time, never by a formula of the routes they check, and they are trusted
 because the ``itertools.product`` and permutation references in
-``tests/test_oracle.py`` agree with them.  Two left-to-right transfers
+``tests/test_oracle.py`` agree with them.  Three left-to-right transfers
 merge prefixes by state.  ``_content_words``, over (uses left, last value)
 states with the drop pattern enforced at every position, counts the words
 of one content for :func:`count_naive` and :func:`count_content`;
+``_witness_counts``, over (values placed, last value) states, tallies the
+witnesses of every coefficient index for :func:`witness_counts`;
 :func:`last_value_counts`, over the last value alone, tallies the words
-whose values repeat freely by last value, one prefix or suffix sum a step.
-The other counters count over one walker, ``_pattern_walk``, which lists
-words with a prescribed drop pattern and per-value caps on an explicit
-stack, without merging words, and stops as many positions short as its
-caller asks, handing over the next range with three bit masks, of the
-values at most zero, one and two uses below their caps, and the mask of
-the values held; it keeps each mask in O(1) a step.  ``count_prefix``
-stops three positions short and reads what each third-to-last range
-counts and charges off prefix tables keyed by the masks, built once per
-call for each key, so a handover costs O(1) once its table is built.
-:func:`witness_counts` stops two positions short and places the
-second-to-last value in a loop of its own, tallying the witnesses of every
-coefficient index; :func:`onto_counts` reads the same split off the
-last-value tallies by inclusion-exclusion, so a walk and a transfer check
-each other.  A walk charges the budget in one unit: 1 per value placed
+whose values repeat freely by last value, one prefix or suffix sum a step,
+and :func:`onto_counts` reads the same witness split off those tallies by
+inclusion-exclusion, so transfers over different states check each other.
+One walk, inside :func:`count_prefix`, lists the prefixes of the words
+with a prescribed drop pattern and per-value caps on an explicit stack,
+without merging them, and stops three positions short: it hands each
+third-to-last range over with three bit masks, of the values at most zero,
+one and two uses below their caps, each kept in O(1) a step, and reads
+what the range counts and charges off prefix tables keyed by the masks,
+built once per call for each key, so a handover costs O(1) once its table
+is built.  The walk charges the budget in one unit: 1 per value placed
 before the last position, and the size of each last range, and it charges
-a second-to-last range it is handed, or that a third-to-last range holds,
-before it counts it.  The naive count is charged its arrangements and the
-last-value transfers their entries, all before they start.
+the second-to-last ranges a third-to-last range holds before it counts
+them.  The naive count is charged its arrangements, the witness transfer
+each layer's states times the values it may offer, before the step, and
+the last-value transfers their entries, before they start.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     BudgetExceededError,
@@ -49,16 +48,18 @@ from .core import (
 class EnumerationBudget:
     """The one work cap, a positive ``int`` (nothing is coerced), that every
     counting route charges in its own unit: full enumeration its
-    arrangements, a word walk the values it places or offers to the last
-    position, the recurrence the (state, T) transitions of all its levels'
-    DPs, each weighted by the 64-bit words of its masks (1 + ``largest`` //
-    64), the Jacobi-Trudi chain its placements plus, for each state it
-    stores, the 64-bit words of the state's packed key past the first (so
-    the budget bounds the memory its keys take), and coefficient
-    extraction, against the default budget, its closed-form products and
-    difference-table subtractions, as the last-value transfer does its
-    ``largest`` * n entries.  Passing it raises
-    ``BudgetExceededError`` naming ``max_work``."""
+    arrangements, the prefix walk the values it places or offers to the
+    last position, the witness transfer its first ``largest`` + 1 states
+    and, before each step, the layer's states times ``largest`` + 1, the
+    values a state may be offered, the recurrence the (state, T)
+    transitions of all its levels' DPs, each weighted by the 64-bit words
+    of its masks (1 + ``largest`` // 64), the Jacobi-Trudi chain its
+    placements plus, for each state it stores, the 64-bit words of the
+    state's packed key past the first (so the budget bounds the memory its
+    keys take), and coefficient extraction, against the default budget,
+    its closed-form products and difference-table subtractions, as the
+    last-value transfer does its ``largest`` * n entries.  Passing it
+    raises ``BudgetExceededError`` naming ``max_work``."""
 
     max_work: int = 10_000_000
 
@@ -72,6 +73,7 @@ class EnumerationBudget:
 
 DEFAULT_BUDGET = EnumerationBudget()
 _WALK_WORK = "values placed by a word walk"  # what a walk's refusal names
+_WITNESS_WORK = "offers of the witness transfer"  # what its refusal names
 _TABLE_CELLS = 1 << 16  # count_prefix holds this many over n + 1 tables at once
 
 
@@ -99,20 +101,24 @@ def _content_words(parts: tuple[int, ...], drops: set[int]) -> int:
     value still to place and the last value placed (0 before the first), to
     the number of prefixes that reach it.  At a drop only a smaller value is
     offered, elsewhere only one at least the last, so every prefix keeps the
-    pattern and the last layer holds the answer.  Only two layers are alive
-    at once, and a layer holds no more states than there are distinct
-    prefixes of its length.
+    pattern and the last layer holds the answer.  The uses are packed into
+    one ``int``, digit v - 1 of ``max(parts).bit_length()`` bits holding
+    value v's, so a step tests a digit and subtracts one unit from it in
+    O(1).  Only two layers are alive at once, and a layer holds no more
+    states than there are distinct prefixes of its length.
     """
+    b = max(parts).bit_length()
     top = len(parts) + 1
-    layer = {(parts, 0): 1}
+    unit = [0] + [1 << b * v for v in range(len(parts))]  # unit[v]: one use of v
+    digit = [((1 << b) - 1) * u for u in unit]  # digit[v]: the bits of v's uses
+    layer = {(sum(c * u for c, u in zip(parts, unit[1:])), 0): 1}
     for pos in range(sum(parts)):
-        nxt: dict[tuple[tuple[int, ...], int], int] = {}
+        nxt: dict[tuple[int, int], int] = {}
         fall = pos in drops  # the value placed here drops from the last one
         for (left, last), words in layer.items():
             for v in range(1, last) if fall else range(last or 1, top):
-                c = left[v - 1]
-                if c:
-                    key = left[: v - 1] + (c - 1,) + left[v:], v
+                if left & digit[v]:
+                    key = left - unit[v], v
                     nxt[key] = nxt.get(key, 0) + words
         layer = nxt
     return sum(layer.values())
@@ -172,161 +178,6 @@ def _open_masks(caps: Sequence[int]) -> list[int]:
         int("".join("1" if c <= d else "0" for c in reversed(caps)) + "0", 2)
         for d in range(3)
     ]
-
-
-def _pattern_walk(
-    descents: DescentSet,
-    caps: Sequence[int],
-    budget: EnumerationBudget,
-    short: int,
-) -> Iterator[tuple[int, int, list[int], int, list[int]]]:
-    """Walk the words of length ``largest`` >= ``short`` over 1..len(caps)
-    that use each value v at most ``caps[v-1]`` times and drop strictly
-    exactly at the descent set without its largest element, ``short``
-    positions short, 3 or 2.  Yield ``(lo, hi, masks, held, spent)`` once
-    per word without its last ``short`` values.
-
-    The next value, third-to-last when ``short`` is 3 and second-to-last
-    when it is 2, is any v in range(lo, hi) below its cap, and the caller
-    places it and the values after it, charging them as it goes: with
-    ``short`` 2, a range's :func:`_range_work` before it reads the range.
-    ``masks`` is a list of three bit masks: bit v of ``masks[d]`` is set
-    when v has at most d uses left below its cap, so ``masks[0]`` holds
-    the values at their caps, and ``least``, the smallest value below its
-    cap, is its lowest clear bit above bit 0.  ``held`` is the mask of the
-    values the word holds.  Placing a value, or taking it back, changes at
-    most one bit of one mask and of ``held``, so the masks cost O(1) a
-    step.  The list is live and the walk's own: read it, never change it.
-    ``spent`` is a one-item list holding the walk's running charge: the
-    caller adds its own charges to it, refusing once they pass
-    ``max_work``, and the walk goes on from there.  The walk is a
-    depth-first search on an explicit stack, the value and the range of
-    values still open at each position, so memory is O(largest +
-    len(caps)) and no length meets a recursion limit.  Nothing is memoized
-    or merged: every word without its last ``short`` values is reached on
-    its own, and the walk hands it over right after placing its last
-    value, before it tries the next; a word of ``short`` values places
-    nothing, and its first range is handed over once, with the open masks.
-    The walk charges 1 per value it places, more than the budget's
-    ``max_work`` raises, and a word reaching the last position costs at
-    least ``largest - 1``, so a walk where that passes ``max_work`` is
-    refused before it allocates, even when no word fits.
-    """
-    length = descents.largest
-    if length - 1 > budget.max_work:
-        raise budget.refusal(_WALK_WORK)
-    falls = [False] * length  # falls[p]: the word drops after position p
-    for p in descents.elements[:-1]:
-        falls[p] = True
-    cap = (0, *caps)
-    top = len(cap)
-    left = list(cap)  # left[v]: the uses of v still open
-    masks = _open_masks(caps)
-    held = 0
-    spent = [0]
-    last = length - short  # the last position the walk places
-    if not last:  # a word of `short` values: its first range is the open one
-        yield 1, top, masks, held, spent
-        return
-    word = [0] * length  # word[p]: the value at position p, 0 before the first
-    lo = [1] * length  # position p takes values in range(lo[p], hi[p])
-    hi = [top] * length
-    limit = budget.max_work
-    placed = 0
-    pos = 1
-    while pos:
-        value = word[pos]
-        if value:  # take the last value back and try the ones after it
-            d = left[value]
-            left[value] = d + 1
-            if d < 3:
-                masks[d] ^= 1 << value
-            if d + 1 == cap[value]:
-                held ^= 1 << value
-            value += 1
-        else:
-            value = lo[pos]
-        end = hi[pos]
-        while value < end and not left[value]:
-            value += 1
-        if value == end:
-            word[pos] = 0
-            pos -= 1
-            continue
-        placed += 1
-        if placed > limit:
-            raise budget.refusal(_WALK_WORK)
-        d = left[value] - 1
-        left[value] = d
-        if d < 3:
-            masks[d] |= 1 << value
-        held |= 1 << value
-        word[pos] = value
-        if pos == last:  # hand the next range over, and stay
-            spent[0] = placed
-            if falls[pos]:
-                yield 1, value, masks, held, spent
-            else:
-                yield value, top, masks, held, spent
-            placed = spent[0]
-            continue
-        if falls[pos]:
-            lo[pos + 1], hi[pos + 1] = 1, value
-        else:
-            lo[pos + 1], hi[pos + 1] = value, top
-        pos += 1
-
-
-def _witness_counts(
-    descents: DescentSet, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> tuple[tuple[int, int], ...]:
-    """:func:`witness_counts` under ``budget``.
-
-    A word over 1..largest+1 that ends above 1 is a witness at index i =
-    max(word) - 1 when it holds every value of 2..max(word), and at no
-    other index.  So, with ``a`` placed and ``h`` the largest value held,
-    the last value is the missing one of 2..h when exactly one is missing
-    (index h - 1), any value of 2..h of a's last range when none is (index
-    h - 1), or h + 1 (index h).  The word counts toward the onto-full side
-    when it holds 1, and the onto-upper side otherwise.  The walk stops two
-    positions short, and each second-to-last range it hands over is
-    charged before it is read; a range handed over while more than two
-    values of 2..h are missing completes no witness and is skipped.  Each
-    value is capped at ``largest`` uses, which no value reaches before the
-    last position, so every second-to-last and last range is taken whole.
-    """
-    length = descents.largest
-    caps = (length,) * _free_values(length)
-    if length == 1:  # one last range alone, charged in full
-        if len(caps) > budget.max_work:
-            raise budget.refusal(_WALK_WORK)
-        return ((0, 0), (1, 0))  # of the words (1) and (2), only (2) ends above 1
-    top = length + 2
-    fall = length - 1 in descents
-    limit = budget.max_work
-    sides = ([0] * top, [0] * top)  # onto-upper, onto-full, by index
-    for first, end, masks, held, spent in _pattern_walk(descents, caps, budget, 2):
-        work = spent[0] + _range_work(first, end, masks[0], fall, top)
-        if work > limit:
-            raise budget.refusal(_WALK_WORK)
-        spent[0] = work
-        high = max(held.bit_length(), 2) - 1  # the largest value held, or 1
-        if (((1 << high + 1) - 4) & ~held).bit_count() > 2:
-            continue
-        for a in range(first, end):
-            bit = 1 << a
-            h = a if a > high else high
-            left = ((1 << h + 1) - 4) & ~held & ~bit
-            if left & (left - 1):
-                continue  # two values of 2..h are still missing
-            last = (bit - 2 if fall else (1 << top) - bit) & -3  # less the value 1
-            side = sides[(held | bit) >> 1 & 1]
-            if left:
-                side[h - 1] += last >> left.bit_length() - 1 & 1
-            else:
-                side[h - 1] += (last & (2 << h) - 1).bit_count()
-                side[h] += last >> h + 1 & 1
-    return tuple(zip(sides[0][: length + 1], sides[1][: length + 1]))
 
 
 class _HandoverSums:
@@ -433,6 +284,19 @@ def count_prefix(
     positions short; a prefix of one value is its last range, and all its
     values count but 1.
 
+    The walk is a depth-first search on an explicit stack, the value and
+    the range of values still open at each position, so memory is
+    O(``largest`` + n) and no length meets a recursion limit.  Nothing is
+    memoized or merged: every prefix without its last three values is
+    reached on its own and hands its third-to-last range over to the
+    tables right after its last value is placed, before the next value is
+    tried; a prefix of three values places nothing, and hands its one
+    range, range(1, n + 1), over with the open masks.  ``masks`` is a
+    list of three bit masks: bit v of ``masks[d]`` is set when v has at
+    most d uses left below its cap, so ``masks[0]`` holds the values at
+    their caps.  Placing a value, or taking it back, changes at most one
+    bit of one mask, so the masks cost O(1) a step.
+
     The rule: each second-to-last value ``a`` counts the free values (those
     below their caps once ``a`` is placed) of its last range, range(1, a)
     after a drop or range(a, n + 1) after an ascent, less the least free
@@ -454,10 +318,13 @@ def count_prefix(
     ``_TABLE_CELLS`` // (n + 1) tables is emptied before the next is
     built, so a wide alphabet with little reuse holds a bounded number of
     them.  A prefix of two values has one second-to-last range, range(1, n
-    + 1), and no walk.  The walk and the tables charge the budget for the
-    values placed or offered, before they are counted, and a scan stops
-    once its range is over the budget, so more than ``max_work`` values
-    are refused before any cap is built and a range before it is passed.
+    + 1), and no walk.  The walk and the tables charge one running total
+    for the values placed or offered, before they are counted, and a scan
+    stops once its range is over the budget, so more than ``max_work``
+    values are refused before any cap is built and a range before it is
+    passed.  A word reaching the last position places at least
+    ``largest`` - 1 values, so a walk where that passes ``max_work`` is
+    refused before it allocates, even when no word fits.
     """
     require_positive(n=n, m=m)
     if not descents:
@@ -477,6 +344,8 @@ def count_prefix(
         if _range_work(1, top, 0, fall, top) > limit:
             raise budget.refusal(_WALK_WORK)
         return (n - 1) * (n - 2) // 2 if fall else n * top // 2 - 1 - (m == 1) * n
+    if length - 1 > limit:
+        raise budget.refusal(_WALK_WORK)
     drop = length - 2 in descents  # x drops to a
     up = length - 3 in descents  # the word drops to x: x in range(1, u)
     ahead = up != drop  # a's side of x lies ahead of the scan
@@ -486,32 +355,74 @@ def count_prefix(
     two_read = 0 if drop or fall else -1
     p_read = not (drop and fall)
     tables: dict[tuple[int, int, int, int], _HandoverSums] = {}
-    most = max(1, _TABLE_CELLS // top)  # the tables held at once
-    total = 0
-    for lo, hi, masks, _, spent in _pattern_walk(descents, (m,) * n, budget, 3):
-        reach = hi if up else top - lo  # the steps that pass range(lo, hi)
-        capped, one, two = masks
-        if ahead:
-            key = capped, one & one_read, two & two_read, 0
-        else:  # only the values the scan passes, and p
-            keep = (1 << hi) - 1 if up else -1 << lo
-            free = n - capped.bit_count() if p_read else 0
-            key = capped & keep, one & keep & one_read, two & keep & two_read, free
-        table = tables.get(key)
-        if table is None:
-            if len(tables) >= most:
-                tables.clear()
-            table = tables[key] = _HandoverSums(key, top, fall, ahead)
-        counts, charges = table.counts, table.charges
-        if len(counts) <= reach:
-            table.extend(reach, limit - spent[0], top, up, drop, fall)
-            if len(counts) <= reach:  # stopped short: the range is over budget
+    most = max(1, _TABLE_CELLS // top)  # the tables kept at once
+    last = length - 3  # the last position the walk places
+    falls = [False] * length  # falls[p]: the word drops after position p
+    for p in descents.elements[:-1]:
+        falls[p] = True
+    left = [0] + [m] * n  # left[v]: the uses of v still open
+    masks = _open_masks((m,) * n)
+    word = [0] * length  # word[p]: the value at position p, 0 before the first
+    lo = [1] * length  # position p takes values in range(lo[p], hi[p])
+    hi = [top] * length
+    placed = total = 0
+    pos = 1
+    while pos:
+        if pos > last:  # hand the third-to-last range over to its table
+            first, end = lo[pos], hi[pos]
+            reach = end if up else top - first  # the steps that pass the range
+            capped, one, two = masks
+            if ahead:
+                key = capped, one & one_read, two & two_read, 0
+            else:  # only the values the scan passes, and p
+                keep = (1 << end) - 1 if up else -1 << first
+                free = n - capped.bit_count() if p_read else 0
+                key = capped & keep, one & keep & one_read, two & keep & two_read, free
+            table = tables.get(key)
+            if table is None:
+                if len(tables) >= most:
+                    tables.clear()
+                table = tables[key] = _HandoverSums(key, top, fall, ahead)
+            counts, charges = table.counts, table.charges
+            if len(counts) <= reach:
+                table.extend(reach, limit - placed, top, up, drop, fall)
+                if len(counts) <= reach:  # stopped short: the range is over budget
+                    raise budget.refusal(_WALK_WORK)
+            placed += charges[reach]
+            if placed > limit:
                 raise budget.refusal(_WALK_WORK)
-        work = spent[0] + charges[reach]
-        if work > limit:
+            total += counts[reach]
+            pos -= 1
+            continue
+        value = word[pos]
+        if value:  # take the last value back and try the ones after it
+            d = left[value]
+            left[value] = d + 1
+            if d < 3:
+                masks[d] ^= 1 << value
+            value += 1
+        else:
+            value = lo[pos]
+        end = hi[pos]
+        while value < end and not left[value]:
+            value += 1
+        if value == end:
+            word[pos] = 0
+            pos -= 1
+            continue
+        placed += 1
+        if placed > limit:
             raise budget.refusal(_WALK_WORK)
-        spent[0] = work
-        total += counts[reach]
+        d = left[value] - 1
+        left[value] = d
+        if d < 3:
+            masks[d] |= 1 << value
+        word[pos] = value
+        if falls[pos]:
+            lo[pos + 1], hi[pos + 1] = 1, value
+        else:
+            lo[pos + 1], hi[pos + 1] = value, top
+        pos += 1
     return total
 
 
@@ -534,20 +445,17 @@ def count_content(parts: Sequence[int], descents: DescentSet) -> int:
     return _content_words(parts, set(descents.elements[:-1]))
 
 
-def _free_values(i: int) -> int:
-    """The i + 1 values of the words over 1..i+1, each free to repeat, that
-    the witness counts of index ``i`` range over, once ``i`` is checked.
+def _check_index(i: int) -> None:
+    """Check the coefficient index ``i`` of the witness counts, whose words
+    range over the i + 1 values 1..i+1, each free to repeat.
 
-    The witness walk charges every free value at least once (placed at
-    position 1, offered in the first range, or counted in the one last
-    range), and a last-value transfer holds an entry for each at every
+    A last-value transfer holds an entry for each free value at every
     position, so more free values than ``max_work`` are refused before any
     per-value list is built.
     """
     strict_ints((i,), "coefficient index", 0)
     if i + 1 > DEFAULT_BUDGET.max_work:
         raise DEFAULT_BUDGET.refusal(_WALK_WORK)
-    return i + 1
 
 
 def last_value_counts(descents: DescentSet, n: int) -> tuple[int, ...]:
@@ -583,17 +491,65 @@ def count_last_fixed(descents: DescentSet, n: int, j: int) -> int:
     return last_value_counts(descents, n)[j - 1]
 
 
+def _witness_counts(
+    descents: DescentSet, budget: EnumerationBudget = DEFAULT_BUDGET
+) -> tuple[tuple[int, int], ...]:
+    """:func:`witness_counts` under ``budget``.
+
+    A word over 1..largest+1 that ends above 1 is a witness at index i =
+    max(word) - 1 when it holds every value of 2..max(word), and at no
+    other index; it counts toward the onto-full side when it holds 1, and
+    the onto-upper side otherwise.  One left-to-right transfer: a layer
+    maps each state, the mask of the values placed and the last value, to
+    the number of prefixes that reach it, each value alone at the first
+    position.  At a drop only a smaller value is offered, elsewhere only
+    one at least the last, so the last layer holds the words, merged by
+    what decides their index and side.  The transfer charges its
+    ``largest`` + 1 first states before it builds them, and each layer's
+    states times ``largest`` + 1, which bounds that step's offers, before
+    the step.
+    """
+    length = descents.largest
+    top = length + 2  # the values 1..length+1, and one past them
+    limit = budget.max_work
+    work = top - 1
+    if work > limit:
+        raise budget.refusal(_WITNESS_WORK)
+    drops = set(descents.elements)
+    layer = {(1 << v, v): 1 for v in range(1, top)}
+    for pos in range(1, length):
+        work += len(layer) * (top - 1)
+        if work > limit:
+            raise budget.refusal(_WITNESS_WORK)
+        nxt: dict[tuple[int, int], int] = {}
+        fall = pos in drops  # the value placed here drops from the last one
+        for (values, last), words in layer.items():
+            for v in range(1, last) if fall else range(last, top):
+                key = values | 1 << v, v
+                nxt[key] = nxt.get(key, 0) + words
+        layer = nxt
+    sides = ([0] * (length + 1), [0] * (length + 1))  # onto-upper, onto-full
+    for (values, last), words in layer.items():
+        h = values.bit_length() - 1  # the largest value of the word
+        if last > 1 and values | 3 == (2 << h) - 1:  # every value of 2..h
+            sides[values >> 1 & 1][h - 1] += words
+    return tuple(zip(*sides))
+
+
 def witness_counts(descents: DescentSet) -> tuple[tuple[int, int], ...]:
     """``(count_onto_upper(descents, i), count_onto_full(descents, i))`` for
-    every i in 0..largest, from one walk of the words over 1..largest+1.
+    every i in 0..largest, from one transfer over the words over
+    1..largest+1.
 
     Their sum at i is ``count_coeff_witnesses(descents, i)``, and past
     ``largest`` every witness counter counts nothing.  The trio reads
     :func:`onto_counts` instead, whose rows come from the last-value
-    tallies of :func:`last_value_counts`, so the two tables check
-    each other: a walk that lists every word against a transfer that
-    merges them by last value.  The walk is charged to the default budget:
-    the values it places and those it offers to the last position.
+    tallies of :func:`last_value_counts`, so the two tables check each
+    other: a transfer that merges the words by the values they hold and
+    their last value against transfers that merge them by last value
+    alone.  The transfer is charged to the default budget: its first
+    states, and before each step the layer's states times the
+    ``largest`` + 1 values a state may be offered.
     """
     return _witness_counts(descents)
 
@@ -613,7 +569,7 @@ def onto_counts(descents: DescentSet, i: int) -> tuple[tuple[int, int], ...]:
     Their ``largest`` * (t'+1) * (t'+2) / 2 entries in all are charged to
     the default budget, and refused, before any transfer runs.
     """
-    _free_values(i)  # refuses a bad or too wide index before any transfer
+    _check_index(i)  # refuses a bad or too wide index before any transfer
     top = min(i, descents.largest)
     entries = descents.largest * (top + 1) * (top + 2) // 2
     if entries > DEFAULT_BUDGET.max_work:
@@ -638,7 +594,7 @@ def _onto_row(descents: DescentSet, i: int) -> tuple[int, int]:
     """Row i of :func:`onto_counts`, read off the rows up to min(i,
     ``largest``) so that no padding row past ``largest`` is built: (0, 0)
     there.  The index is checked, and refused when too wide, first."""
-    _free_values(i)
+    _check_index(i)
     rows = onto_counts(descents, min(i, descents.largest))
     return rows[i] if i < len(rows) else (0, 0)
 

@@ -198,7 +198,7 @@ def window_report(top: int = 7) -> Iterator[Check]:
     They vanish strictly below the longest run and cannot extend past the
     largest element, are positive inside that window, and each one equals
     the brute-force witness count; every index's count is read off one
-    walk per set, :func:`oracle.witness_counts`.
+    transfer per set, :func:`oracle.witness_counts`.
     """
     for ds in descent_sets_up_to(top):
         poly = polybasis.extract_coeffs(ds, -1)
@@ -390,7 +390,8 @@ def witness_split_report(top: int = 6) -> Iterator[Check]:
     """Decompositions of the witness counts.
 
     Each witness count splits by whether the value 1 appears: the pair
-    read off :func:`oracle.witness_counts` equals the pair
+    read off one transfer per set over (values held, last value),
+    :func:`oracle.witness_counts`, equals the pair
     :func:`oracle.onto_counts` reads off the last-value tallies.  The part
     that skips 1 at the next index equals the full part plus the witness
     count of the descent set without its largest element; both sets' counts

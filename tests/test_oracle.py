@@ -304,28 +304,49 @@ def test_walk_charges_match_a_product_reference():
                         count_prefix(ds, n, m, EnumerationBudget(least_work - 1))
 
 
+def _witness_charge(ds):
+    """Independent reference for the witness transfer's charge: max(I) + 1
+    for its first layer, and, for each length k of 1..max(I) - 1, the
+    distinct (value set, last value) pairs of the words of length k over
+    1..max(I)+1 that drop exactly at the elements of I below k, listed by
+    ``itertools.product``, times max(I) + 1."""
+    d = ds.largest
+    drops = set(ds.elements)
+    charge = d + 1
+    for length in range(1, d):
+        states = {
+            (frozenset(w), w[-1])
+            for w in product(range(1, d + 2), repeat=length)
+            if all((w[i - 1] > w[i]) == (i in drops) for i in range(1, length))
+        }
+        charge += len(states) * (d + 1)
+    return charge
+
+
 def test_tally_kernels_charge_like_the_product_reference():
-    # the witness table walks the words over 1..max(I)+1, each value free:
-    # the least max_work that answers is the reference charge of the same
-    # caps, as for the prefix route
+    # the witness table is a transfer over the words over 1..max(I)+1, each
+    # value free: the least max_work that answers is the reference charge
     for ds in descent_sets_up_to(6):
-        d = ds.largest
-        least_work = _walk_charge(ds, (d,) * (d + 1))
+        least_work = _witness_charge(ds)
         table = witness_counts(ds)
         assert _witness_counts(ds, EnumerationBudget(least_work)) == table
-        if least_work > 1:
-            refused = f"max_work = {least_work - 1}$"
-            with pytest.raises(BudgetExceededError, match=refused):
-                _witness_counts(ds, EnumerationBudget(least_work - 1))
+        refused = f"max_work = {least_work - 1}$"
+        with pytest.raises(BudgetExceededError, match=refused):
+            _witness_counts(ds, EnumerationBudget(least_work - 1))
 
 
 @pytest.mark.parametrize(
     "elements,least_work",
-    [((2, 4, 7), 120_830), ((1, 3, 5, 8), 1_287_432), ((3, 5, 6, 8), 699_192)],
+    [
+        ((2, 4, 7), 16_936),
+        ((1, 3, 5, 8), 52_956),
+        ((3, 5, 6, 8), 43_506),
+        ((3, 5, 8, 10), 429_682),
+    ],
 )
 def test_tally_kernel_refusal_thresholds_are_pinned(elements, least_work):
     # the least max_work that answers, past the sets the product reference
-    # reaches: the witness walk at max(I) 7 and 8
+    # reaches: the witness transfer at max(I) 7, 8 and 10
     ds = DescentSet(elements)
     expected = _witness_counts(ds)
     assert _witness_counts(ds, EnumerationBudget(least_work)) == expected
@@ -521,6 +542,16 @@ def test_tallies_match_a_product_reference():
             assert last_value_counts(ds, n) == expected, (ds, n)
 
 
+@given(st.sets(st.integers(1, 12), min_size=1))
+@settings(max_examples=10, deadline=None)
+def test_witness_transfer_reaches_max_twelve(elements):
+    # past the sets a word walk over the same words answers under the
+    # default budget, e.g. {3, 5, 8, 10}: the witness table against its
+    # inclusion-exclusion twin off the last-value tallies
+    ds = DescentSet(elements)
+    assert witness_counts(ds) == onto_counts(ds, ds.largest)
+
+
 @given(st.sets(st.integers(1, 80), min_size=1, max_size=40))
 @settings(max_examples=25, deadline=None)
 def test_last_value_transfer_reaches_max_eighty(elements):
@@ -563,12 +594,14 @@ def test_walks_refuse_a_huge_alphabet_or_word_before_allocating():
     # per-value caps or per-position lists (8 TB here); the last-value
     # transfer is charged its 2 * 10**7 entries before it builds one, the
     # 2001 transfers of a witness table their 4 * 10**9 entries before the
-    # first runs, and a content of 12! arrangements before its transfer
+    # first runs, the witness transfer its 10**12 + 1 first states before
+    # it builds any, and a content of 12! arrangements before its transfer
     huge = DescentSet((10**12,))
     for call in (
         lambda: count_prefix(huge, 2, 10**12),
         lambda: count_prefix(DescentSet((2,)), 10**12, 1),
         lambda: count_coeff_witnesses(huge, 1),
+        lambda: witness_counts(huge),
         lambda: count_last_fixed(huge, 3, 2),
         lambda: last_value_counts(DescentSet((2,)), 10**7),
         lambda: count_content((1,) * 12, DescentSet((12,))),
