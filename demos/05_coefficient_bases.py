@@ -23,9 +23,10 @@ print(f"\ncoefficients over binom(n-1, i): {list(base.coeffs)}")
 print(f"nonzero exactly for i in [{ds.longest_run}, {ds.largest}]")
 
 # each coefficient counts words over 1..i+1 that hit every value above 1,
-# end above 1, and have the prescribed descents; one transfer tallies every
-# index, split by whether the word holds 1, and each index's counter, read
-# off the last-value tallies by inclusion-exclusion, agrees
+# end above 1, and have the prescribed descents; one transfer over (number
+# of values held, rank of the last value) tallies every index, split by
+# whether the word holds 1, and each index's counter, read off the
+# last-value tallies by inclusion-exclusion, agrees
 table = witness_counts(ds)
 for i, (upper, full) in enumerate(table):
     witnesses = upper + full

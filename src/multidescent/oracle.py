@@ -7,25 +7,24 @@ because the ``itertools.product`` and permutation references in
 merge prefixes by state.  ``_content_words``, over (uses left, last value)
 states with the drop pattern enforced at every position, counts the words
 of one content for :func:`count_naive` and :func:`count_content`;
-``_witness_counts``, over (values placed, last value) states, tallies the
-witnesses of every coefficient index for :func:`witness_counts`;
-:func:`last_value_counts`, over the last value alone, tallies the words
-whose values repeat freely by last value, one prefix or suffix sum a step,
-and :func:`onto_counts` reads the same witness split off those tallies by
-inclusion-exclusion, so transfers over different states check each other.
-One walk, inside :func:`count_prefix`, lists the prefixes of the words
-with a prescribed drop pattern and per-value caps on an explicit stack,
-without merging them, and stops three positions short: it hands each
-third-to-last range over with three bit masks, of the values at most zero,
-one and two uses below their caps, each kept in O(1) a step, and reads
-what the range counts and charges off prefix tables keyed by the masks,
-built once per call for each key, so a handover costs O(1) once its table
-is built.  The walk charges the budget in one unit: 1 per value placed
-before the last position, and the size of each last range, and it charges
-the second-to-last ranges a third-to-last range holds before it counts
-them.  The naive count is charged its arrangements, the witness transfer
-each layer's states times the values it may offer, before the step, and
-the last-value transfers their entries, before they start.
+``_witness_counts``, over (number of values held, rank of the last value
+among them) states, tallies the witnesses of every coefficient index for
+:func:`witness_counts`, and :func:`last_value_counts`, over the last value
+alone, tallies the words whose values repeat freely by last value, both
+stepping by prefix and suffix sums, and :func:`onto_counts` reads the same
+witness split off those tallies by inclusion-exclusion, so transfers over
+different states check each other.  One walk, inside :func:`count_prefix`,
+lists the prefixes of the words with a prescribed drop pattern and
+per-value caps on an explicit stack, without merging them, and stops three
+positions short: it hands each third-to-last range over with three bit
+masks, of the values at most zero, one and two uses below their caps, each
+kept in O(1) a step, and reads what the range counts and charges off prefix
+tables keyed by the masks, built once per call for each key, so a handover
+costs O(1) once its table is built.  The walk charges the budget in one
+unit: 1 per value placed before the last position, and the size of each
+last range, and it charges the second-to-last ranges a third-to-last range
+holds before it counts them.  The naive count is charged its arrangements,
+and the witness and last-value transfers their entries, before they start.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import comb
+from operator import add
 from typing import Iterable, Sequence
 
 from .core import (
@@ -49,17 +49,16 @@ class EnumerationBudget:
     """The one work cap, a positive ``int`` (nothing is coerced), that every
     counting route charges in its own unit: full enumeration its
     arrangements, the prefix walk the values it places or offers to the
-    last position, the witness transfer its first ``largest`` + 1 states
-    and, before each step, the layer's states times ``largest`` + 1, the
-    values a state may be offered, the recurrence the (state, T)
-    transitions of all its levels' DPs, each weighted by the 64-bit words
-    of its masks (1 + ``largest`` // 64), the Jacobi-Trudi chain its
-    placements plus, for each state it stores, the 64-bit words of the
-    state's packed key past the first (so the budget bounds the memory its
-    keys take), and coefficient extraction, against the default budget,
-    its closed-form products and difference-table subtractions, as the
-    last-value transfer does its ``largest`` * n entries.  Passing it
-    raises ``BudgetExceededError`` naming ``max_work``."""
+    last position, the witness transfer the C(``largest`` + 2, 3) entries
+    of its layers, the recurrence the (state, T) transitions of all its
+    levels' DPs, each weighted by the 64-bit words of its masks (1 +
+    ``largest`` // 64), the Jacobi-Trudi chain its placements plus, for
+    each state it stores, the 64-bit words of the state's packed key past
+    the first (so the budget bounds the memory its keys take), and
+    coefficient extraction, against the default budget, its closed-form
+    products and difference-table subtractions, as the last-value transfer
+    does its ``largest`` * n entries.  Passing it raises
+    ``BudgetExceededError`` naming ``max_work``."""
 
     max_work: int = 10_000_000
 
@@ -73,7 +72,6 @@ class EnumerationBudget:
 
 DEFAULT_BUDGET = EnumerationBudget()
 _WALK_WORK = "values placed by a word walk"  # what a walk's refusal names
-_WITNESS_WORK = "offers of the witness transfer"  # what its refusal names
 _TABLE_CELLS = 1 << 16  # count_prefix holds this many over n + 1 tables at once
 
 
@@ -164,20 +162,6 @@ def _range_work(first: int, end: int, capped: int, fall: bool, top: int) -> int:
         work -= a if fall else 1 + top - a
         rest ^= low
     return work
-
-
-def _open_masks(caps: Sequence[int]) -> list[int]:
-    """The walk's masks before any value is placed: bit v of mask d is set
-    when ``caps[v-1]`` <= d, for d = 0, 1 and 2.  One cap for every value
-    gives full or empty masks at once; other caps are read off one string
-    of bits per mask, so a wide alphabet costs O(len(caps)) either way."""
-    if caps and caps.count(caps[0]) == len(caps):
-        every = (1 << len(caps) + 1) - 2  # the values 1..len(caps)
-        return [every if caps[0] <= d else 0 for d in range(3)]
-    return [
-        int("".join("1" if c <= d else "0" for c in reversed(caps)) + "0", 2)
-        for d in range(3)
-    ]
 
 
 class _HandoverSums:
@@ -361,7 +345,9 @@ def count_prefix(
     for p in descents.elements[:-1]:
         falls[p] = True
     left = [0] + [m] * n  # left[v]: the uses of v still open
-    masks = _open_masks((m,) * n)
+    # before any value is placed every value has m uses left: all of 1..n in
+    # the masks of d >= m, none in the others
+    masks = [(1 << top) - 2 if m <= d else 0 for d in range(3)]
     word = [0] * length  # word[p]: the value at position p, 0 before the first
     lo = [1] * length  # position p takes values in range(lo[p], hi[p])
     hi = [top] * length
@@ -455,7 +441,7 @@ def _check_index(i: int) -> None:
     """
     strict_ints((i,), "coefficient index", 0)
     if i + 1 > DEFAULT_BUDGET.max_work:
-        raise DEFAULT_BUDGET.refusal(_WALK_WORK)
+        raise DEFAULT_BUDGET.refusal("free values of a last-value transfer")
 
 
 def last_value_counts(descents: DescentSet, n: int) -> tuple[int, ...]:
@@ -499,41 +485,48 @@ def _witness_counts(
     A word over 1..largest+1 that ends above 1 is a witness at index i =
     max(word) - 1 when it holds every value of 2..max(word), and at no
     other index; it counts toward the onto-full side when it holds 1, and
-    the onto-upper side otherwise.  One left-to-right transfer: a layer
-    maps each state, the mask of the values placed and the last value, to
-    the number of prefixes that reach it, each value alone at the first
-    position.  At a drop only a smaller value is offered, elsewhere only
-    one at least the last, so the last layer holds the words, merged by
-    what decides their index and side.  The transfer charges its
-    ``largest`` + 1 first states before it builds them, and each layer's
-    states times ``largest`` + 1, which bounds that step's offers, before
-    the step.
+    the onto-upper side otherwise.  Only the relative order of a word's
+    values decides its drops, so the words holding exactly s values, any
+    s of them, number those over 1..s that hold each: a witness of the
+    onto-upper side at index i is one of the words over 1..i that hold
+    every value, and of the onto-full side one over 1..i+1 that hold every
+    value and end above 1.  One left-to-right transfer counts these: row s
+    of a layer maps each rank r of 1..s to the number of prefixes holding
+    s values whose last value is the r-th least of them, one prefix of one
+    value at the first position.  After an ascent, repeating the value of
+    rank j takes the prefixes of row s up to rank j, and a new value of
+    rank q in 1..s+1 takes those of row s below rank q into row s + 1;
+    after a drop, repeating rank j takes those above rank j, and a new
+    value of rank q in 1..s those from rank q up.  So a step is one prefix
+    or suffix sum per row, and the table is read off the last layer:
+    onto-upper(i) is the sum of row i, onto-full(i) that of row i + 1
+    without its rank-1 entry.  Layer k holds k(k + 1)/2 entries, and the
+    transfer charges those of all its layers, C(largest + 2, 3), before it
+    builds the first.
     """
     length = descents.largest
-    top = length + 2  # the values 1..length+1, and one past them
-    limit = budget.max_work
-    work = top - 1
-    if work > limit:
-        raise budget.refusal(_WITNESS_WORK)
+    entries = comb(length + 2, 3)
+    if entries > budget.max_work:
+        raise budget.refusal(f"witness transfer of {entries} entries")
     drops = set(descents.elements)
-    layer = {(1 << v, v): 1 for v in range(1, top)}
+    rows = [[1]]  # rows[s - 1][r - 1]: the prefixes of s values ending at rank r
     for pos in range(1, length):
-        work += len(layer) * (top - 1)
-        if work > limit:
-            raise budget.refusal(_WITNESS_WORK)
-        nxt: dict[tuple[int, int], int] = {}
-        fall = pos in drops  # the value placed here drops from the last one
-        for (values, last), words in layer.items():
-            for v in range(1, last) if fall else range(last, top):
-                key = values | 1 << v, v
-                nxt[key] = nxt.get(key, 0) + words
-        layer = nxt
-    sides = ([0] * (length + 1), [0] * (length + 1))  # onto-upper, onto-full
-    for (values, last), words in layer.items():
-        h = values.bit_length() - 1  # the largest value of the word
-        if last > 1 and values | 3 == (2 << h) - 1:  # every value of 2..h
-            sides[values >> 1 & 1][h - 1] += words
-    return tuple(zip(*sides))
+        # grow[s - 1][q - 1]: the prefixes a new value of rank q takes into
+        # row s + 1; stay[s - 1][j - 1]: those a repeat of rank j keeps in row s
+        if pos in drops:  # a new value takes ranks q and up, a repeat those above j
+            grow = [[*accumulate(reversed(row))][::-1] + [0] for row in rows]
+            stay = [row[1:] for row in grow]
+        else:  # a new value takes the ranks below q, a repeat those up to j
+            stay = [[*accumulate(row)] for row in rows]
+            grow = [[0, *row] for row in stay]
+        rows = [
+            stay[0],
+            *(list(map(add, a, b)) for a, b in zip(stay[1:], grow)),
+            grow[-1],
+        ]
+    upper = [0] + [sum(row) for row in rows]  # no word holds no value
+    full = [sum(row) - row[0] for row in rows] + [0]  # none holds largest + 2
+    return tuple(zip(upper, full))
 
 
 def witness_counts(descents: DescentSet) -> tuple[tuple[int, int], ...]:
@@ -545,11 +538,12 @@ def witness_counts(descents: DescentSet) -> tuple[tuple[int, int], ...]:
     ``largest`` every witness counter counts nothing.  The trio reads
     :func:`onto_counts` instead, whose rows come from the last-value
     tallies of :func:`last_value_counts`, so the two tables check each
-    other: a transfer that merges the words by the values they hold and
-    their last value against transfers that merge them by last value
-    alone.  The transfer is charged to the default budget: its first
-    states, and before each step the layer's states times the
-    ``largest`` + 1 values a state may be offered.
+    other: a transfer that merges the words by how many values they hold
+    and the rank of their last value, and counts only the words that hold
+    every value of their alphabet, against transfers that merge them by
+    last value alone and take out the others by inclusion-exclusion.  The
+    transfer charges its C(``largest`` + 2, 3) entries to the default
+    budget before it builds any.
     """
     return _witness_counts(descents)
 

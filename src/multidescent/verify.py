@@ -390,8 +390,8 @@ def witness_split_report(top: int = 6) -> Iterator[Check]:
     """Decompositions of the witness counts.
 
     Each witness count splits by whether the value 1 appears: the pair
-    read off one transfer per set over (values held, last value),
-    :func:`oracle.witness_counts`, equals the pair
+    read off one transfer per set over (number of values held, rank of the
+    last value), :func:`oracle.witness_counts`, equals the pair
     :func:`oracle.onto_counts` reads off the last-value tallies.  The part
     that skips 1 at the next index equals the full part plus the witness
     count of the descent set without its largest element; both sets' counts

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from functools import cache
 from itertools import permutations, product
 from math import factorial
 
@@ -304,49 +305,50 @@ def test_walk_charges_match_a_product_reference():
                         count_prefix(ds, n, m, EnumerationBudget(least_work - 1))
 
 
-def _witness_charge(ds):
-    """Independent reference for the witness transfer's charge: max(I) + 1
-    for its first layer, and, for each length k of 1..max(I) - 1, the
-    distinct (value set, last value) pairs of the words of length k over
-    1..max(I)+1 that drop exactly at the elements of I below k, listed by
-    ``itertools.product``, times max(I) + 1."""
-    d = ds.largest
-    drops = set(ds.elements)
-    charge = d + 1
-    for length in range(1, d):
-        states = {
-            (frozenset(w), w[-1])
-            for w in product(range(1, d + 2), repeat=length)
-            if all((w[i - 1] > w[i]) == (i in drops) for i in range(1, length))
-        }
-        charge += len(states) * (d + 1)
+@cache
+def _witness_charge(largest):
+    """Independent reference for the witness transfer's charge at max(I) =
+    ``largest``: for each length k of 1..max(I), the distinct (number of
+    values held, rank of the last value among them) states of the words of
+    length k over 1..k, whatever their drops, listed by
+    ``itertools.product``: a layer holds an entry for each state a prefix
+    of its length could reach."""
+    charge = 0
+    for length in range(1, largest + 1):
+        charge += len(
+            {
+                (len(set(w)), sorted(set(w)).index(w[-1]))
+                for w in product(range(1, length + 1), repeat=length)
+            }
+        )
     return charge
 
 
 def test_tally_kernels_charge_like_the_product_reference():
-    # the witness table is a transfer over the words over 1..max(I)+1, each
-    # value free: the least max_work that answers is the reference charge
+    # the witness table is a transfer over (values held, last rank) states,
+    # each value free: the least max_work that answers is the reference charge
     for ds in descent_sets_up_to(6):
-        least_work = _witness_charge(ds)
+        least_work = _witness_charge(ds.largest)
         table = witness_counts(ds)
         assert _witness_counts(ds, EnumerationBudget(least_work)) == table
-        refused = f"max_work = {least_work - 1}$"
-        with pytest.raises(BudgetExceededError, match=refused):
-            _witness_counts(ds, EnumerationBudget(least_work - 1))
+        if least_work > 1:
+            refused = f"max_work = {least_work - 1}$"
+            with pytest.raises(BudgetExceededError, match=refused):
+                _witness_counts(ds, EnumerationBudget(least_work - 1))
 
 
 @pytest.mark.parametrize(
     "elements,least_work",
     [
-        ((2, 4, 7), 16_936),
-        ((1, 3, 5, 8), 52_956),
-        ((3, 5, 6, 8), 43_506),
-        ((3, 5, 8, 10), 429_682),
+        ((2, 4, 7), 84),
+        ((1, 3, 5, 8), 120),
+        ((3, 5, 6, 8), 120),
+        ((3, 5, 8, 10), 220),
     ],
 )
 def test_tally_kernel_refusal_thresholds_are_pinned(elements, least_work):
     # the least max_work that answers, past the sets the product reference
-    # reaches: the witness transfer at max(I) 7, 8 and 10
+    # reaches: the witness transfer at max(I) 7, 8 and 10, whatever the drops
     ds = DescentSet(elements)
     expected = _witness_counts(ds)
     assert _witness_counts(ds, EnumerationBudget(least_work)) == expected
@@ -542,12 +544,12 @@ def test_tallies_match_a_product_reference():
             assert last_value_counts(ds, n) == expected, (ds, n)
 
 
-@given(st.sets(st.integers(1, 12), min_size=1))
-@settings(max_examples=10, deadline=None)
-def test_witness_transfer_reaches_max_twelve(elements):
-    # past the sets a word walk over the same words answers under the
-    # default budget, e.g. {3, 5, 8, 10}: the witness table against its
-    # inclusion-exclusion twin off the last-value tallies
+@given(st.sets(st.integers(1, 80), min_size=1, max_size=40))
+@settings(max_examples=25, deadline=None)
+def test_witness_transfer_reaches_max_eighty(elements):
+    # far past max(I) = 14, where a transfer over the masks of the values
+    # placed is refused under the default budget: the witness table against
+    # its inclusion-exclusion twin off the last-value tallies
     ds = DescentSet(elements)
     assert witness_counts(ds) == onto_counts(ds, ds.largest)
 
@@ -594,7 +596,7 @@ def test_walks_refuse_a_huge_alphabet_or_word_before_allocating():
     # per-value caps or per-position lists (8 TB here); the last-value
     # transfer is charged its 2 * 10**7 entries before it builds one, the
     # 2001 transfers of a witness table their 4 * 10**9 entries before the
-    # first runs, the witness transfer its 10**12 + 1 first states before
+    # first runs, the witness transfer its C(10**12 + 2, 3) entries before
     # it builds any, and a content of 12! arrangements before its transfer
     huge = DescentSet((10**12,))
     for call in (
@@ -703,8 +705,8 @@ def test_onto_counts_walks_widest_first_and_stops_at_a_refusal(monkeypatch):
 
 
 def test_witness_counters_refuse_before_building_their_caps():
-    # 10**7 free values are over the default budget: the walk would charge
-    # each of them, so the call refuses before it allocates per value
+    # 10**7 free values are over the default budget: a last-value transfer
+    # holds an entry for each, so the call refuses before it allocates per value
     script = """
 import json, resource, sys, time
 from multidescent.core import BudgetExceededError, DescentSet
@@ -728,7 +730,7 @@ print(json.dumps(out))
     assert proc.returncode == 0, proc.stderr
     for message, seconds, rise_kb in json.loads(proc.stdout):
         assert message == (
-            "values placed by a word walk, more than max_work = 10000000"
+            "free values of a last-value transfer, more than max_work = 10000000"
         )
         assert seconds < 0.1
         assert rise_kb < 4096  # the caps alone would be ~80 MB
