@@ -18,11 +18,10 @@ lists the prefixes of the words with a prescribed drop pattern and
 per-value caps on an explicit stack, without merging them, and stops three
 positions short: it hands each third-to-last range over with three bit
 masks, of the values at most zero, one and two uses below their caps, each
-kept in O(1) a step, and reads what the range counts and charges off prefix
-tables keyed by the masks, built once per call for each key, so a handover
-costs O(1) once its table is built.  The walk charges the budget in one
-unit: 1 per value placed before the last position, and the size of each
-last range, and it charges the second-to-last ranges a third-to-last range
+kept in O(1) a step, and sums what the range counts and charges in one
+scan, memoized for the call.  The walk charges the budget in one unit: 1
+per value placed before the last position, and the size of each last
+range, and it charges the second-to-last ranges a third-to-last range
 holds before it counts them.  The naive count is charged its arrangements,
 and the witness and last-value transfers their entries, before they start.
 """
@@ -72,7 +71,7 @@ class EnumerationBudget:
 
 DEFAULT_BUDGET = EnumerationBudget()
 _WALK_WORK = "values placed by a word walk"  # what a walk's refusal names
-_TABLE_CELLS = 1 << 16  # count_prefix holds this many over n + 1 tables at once
+_TABLE_CELLS = 1 << 16  # count_prefix keeps this many over n + 1 range sums at once
 
 
 def _refuse_arrangements(
@@ -164,95 +163,68 @@ def _range_work(first: int, end: int, capped: int, fall: bool, top: int) -> int:
     return work
 
 
-class _HandoverSums:
-    """Running sums of what ``count_prefix``'s third-to-last values x count
-    and are charged, for one key of the walk's masks.
+def _third_range(
+    first: int,
+    end: int,
+    masks: tuple[int, int, int],
+    top: int,
+    drop: bool,
+    fall: bool,
+    room: int,
+) -> tuple[int, int]:
+    """What :func:`count_prefix`'s third-to-last values x of range(first,
+    end) count and are charged, summed over x under the walk's ``masks``.
 
-    The ranges of x of one call all start at the same end: range(1, u)
-    after a drop to x, scanned up from 1, or range(u, n + 1) after an
-    ascent, scanned down from n.  Step i passes x = i - 1 going up and x =
-    n + 1 - i going down, and entry i of ``counts`` and ``charges`` sums
-    the free x of the first i steps, so a handover reads its range off one
-    entry and the scan passes no value outside the ranges it serves.  What
-    x counts reads the free values on a's side of x: their number, those
-    of them one use below the cap, and their charges.  When the scan has
-    passed that side, these are its running counts r, h and s; otherwise
-    they are the totals p, h_all and s_all, read once off the whole masks
-    of the key, less the running counts and x itself.  Counted before a is
-    placed, a free value's rank is the number of free values below it, and
-    the free values of one second-to-last range have consecutive ranks, so
-    x's range is counted as sums of ranks.  The scan goes only as far as a
-    handover has read, and resumes from there.
+    x's count reads the free values on a's side of x (below x after a drop
+    to a, above x otherwise): their number r, those one use below the cap h,
+    and their charges s.  The scan starts on a's side, with r, h and s
+    seeded by the values beyond the range there, and adds each free x it
+    passes.  A free value's rank is the number of free values below it, so
+    x's range is counted as sums of ranks.  The scan stops once the charge
+    passes ``room``, which the handover is refused for.
     """
-
-    __slots__ = ("counts", "charges", "masks", "p", "h_all", "s_all", "r", "h", "s")
-
-    def __init__(
-        self, key: tuple[int, int, int, int], top: int, fall: bool, ahead: bool
-    ) -> None:
-        *self.masks, self.p = key  # at most zero, one and two uses left; p
-        capped, one, _ = self.masks
-        if ahead:  # a's side lies ahead of the scan: the whole masks' totals
-            self.p = (((1 << top) - 2) & ~capped).bit_count()
-            self.h_all = (one & ~capped).bit_count()
-            self.s_all = _range_work(1, top, capped, fall, top)
-        self.counts, self.charges = [0], [0]
-        self.r = self.h = self.s = 0
-
-    def extend(
-        self, reach: int, room: int, top: int, up: bool, drop: bool, fall: bool
-    ) -> None:
-        """Scan on to step ``reach``, but stop once the charges pass
-        ``room``: the handover reading them is refused, and the scan goes
-        no further than the charge it is refused for."""
-        counts, charges, p = self.counts, self.charges, self.p
-        count, charge, r, h, s = counts[-1], charges[-1], self.r, self.h, self.s
-        behind = up == drop  # the scan has passed a's side of x
-        done = len(counts)
-        if up:
-            xs = range(done - 1, reach)
-            low = done - 1
-        else:
-            xs = range(top - done, top - reach - 1, -1)
-            low = top - reach
-        # the masks' bits of the values to pass, so that a step costs O(1)
-        span = (1 << len(xs)) - 1
-        capped, one, two = self.masks
-        capped, one, two = capped >> low & span, one >> low & span, two >> low & span
-        for x in xs:
-            j = x - low
-            if x and not capped >> j & 1:
-                k = one >> j & 1  # x fills its cap
-                w = x if fall else top + 1 - x  # x's charge as a second-to-last value
-                if behind:  # the free values on a's side, those one below, charges
-                    ra, ha, sa = r, h, s
-                else:
-                    ra, ha, sa = p - 1 - r, self.h_all - h - k, self.s_all - s - w
-                if drop:  # a in range(1, x): ranks 0..ra-1
-                    charge += 1 + sa
-                    if fall:  # each a's rank, less 1 unless a is least
-                        count += ra * (ra - 1) // 2 - ra + (ra > 0)
-                    else:  # the free values from a up, less a if it fills, less least
-                        count += ra * (p - k) - ra * (ra - 1) // 2 - ha - (ra > 0)
-                else:  # a in range(x, top): x and the ra free values above it
-                    charge += 1 + sa + (not k) * w
-                    c = ra + 1 - k  # the free values of range(x, top) once x is placed
-                    below = p - ra - 1  # the free values below x
-                    ranks = c * below + c * (c - 1) // 2
-                    least = not below and c > 0
-                    if fall:
-                        count += ranks - c + least
-                    else:  # x is one use below its cap once placed when two below
-                        twice = not k and two >> j & 1
-                        count += c * (p - k) - ranks - ha - twice - least
-                r += 1
-                h += k
-                s += w
-            counts.append(count)
-            charges.append(charge)
-            if charge > room:
-                break
-        self.r, self.h, self.s = r, h, s
+    capped, one, two = masks
+    p = top - 1 - capped.bit_count()  # the free values
+    if drop:  # a's side lies below x: scan up, past the values below first
+        beyond = (1 << first) - 2
+        xs = range(first, end)
+        s = _range_work(1, first, capped, fall, top)
+    else:  # a's side lies above x: scan down, past the values from end up
+        beyond = (1 << top) - (1 << end)
+        xs = range(end - 1, first - 1, -1)
+        s = _range_work(end, top, capped, fall, top)
+    beyond &= ~capped
+    r, h = beyond.bit_count(), (beyond & one).bit_count()
+    span = (1 << end - first) - 1  # the masks' bits of the range: a step is O(1)
+    capped, one, two = capped >> first & span, one >> first & span, two >> first & span
+    count = charge = 0
+    for x in xs:
+        j = x - first
+        if capped >> j & 1:
+            continue
+        k = one >> j & 1  # x fills its cap
+        w = x if fall else top + 1 - x  # x's charge as a second-to-last value
+        if drop:  # a in range(1, x): ranks 0..r-1
+            charge += 1 + s
+            if fall:  # each a's rank, less 1 unless a is least
+                count += r * (r - 1) // 2 - r + (r > 0)
+            else:  # the free values from a up, less a if it fills, less least
+                count += r * (p - k) - r * (r - 1) // 2 - h - (r > 0)
+        else:  # a in range(x, top): x and the r free values above it
+            charge += 1 + s + (not k) * w
+            c = r + 1 - k  # the free values of range(x, top) once x is placed
+            below = p - r - 1  # the free values below x
+            ranks = c * below + c * (c - 1) // 2
+            least = not below and c > 0
+            if fall:
+                count += ranks - c + least
+            else:  # x is one use below its cap once placed when two below
+                twice = not k and two >> j & 1
+                count += c * (p - k) - ranks - h - twice - least
+        if charge > room:
+            break
+        r, h, s = r + 1, h + k, s + w
+    return count, charge
 
 
 def count_prefix(
@@ -269,46 +241,36 @@ def count_prefix(
     values count but 1.
 
     The walk is a depth-first search on an explicit stack, the value and
-    the range of values still open at each position, so memory is
-    O(``largest`` + n) and no length meets a recursion limit.  Nothing is
-    memoized or merged: every prefix without its last three values is
-    reached on its own and hands its third-to-last range over to the
-    tables right after its last value is placed, before the next value is
-    tried; a prefix of three values places nothing, and hands its one
-    range, range(1, n + 1), over with the open masks.  ``masks`` is a
-    list of three bit masks: bit v of ``masks[d]`` is set when v has at
-    most d uses left below its cap, so ``masks[0]`` holds the values at
-    their caps.  Placing a value, or taking it back, changes at most one
-    bit of one mask, so the masks cost O(1) a step.
+    the range of values still open at each position, so no length meets a
+    recursion limit.  Every prefix without its last three values is
+    reached on its own, unmerged, and hands its third-to-last range over
+    right after its last value is placed; a prefix of three values places
+    nothing, and hands range(1, n + 1) over with the open masks.  Bit v of
+    ``masks[d]`` is set when v has at most d uses left below its cap, so
+    ``masks[0]`` holds the values at their caps, and placing a value, or
+    taking it back, changes at most one bit of one mask.
 
     The rule: each second-to-last value ``a`` counts the free values (those
     below their caps once ``a`` is placed) of its last range, range(1, a)
     after a drop or range(a, n + 1) after an ascent, less the least free
     value if it lies there.  What a third-to-last value ``x`` counts, and
     what it is charged, 1 plus the charge of its second-to-last range,
-    depend only on x, the number p of values below their caps and the
-    walk's masks: the values at their caps and, where the case reads them,
-    those one and two uses below.  The ranges of x of one call all start
-    at 1 or all end at n, so :class:`_HandoverSums` sums these over x once
-    for each key, scanning from that end, and a handover reads its range
-    off one entry.  A key holds what its case reads and no more: the
-    capped mask alone when x drops to ``a`` and ``a`` to the last value,
-    all three masks when both steps rise, and the capped and one-below
-    masks otherwise.  When the scan has passed a's side of x, the masks
-    are cut to the values the scan passes, with p where a formula reads
-    it, so prefixes that differ only past them share a table; otherwise
-    the whole masks give the totals of a's side.  The tables live in a
-    dict of this call, nothing is kept across calls, and a dict of
-    ``_TABLE_CELLS`` // (n + 1) tables is emptied before the next is
-    built, so a wide alphabet with little reuse holds a bounded number of
-    them.  A prefix of two values has one second-to-last range, range(1, n
-    + 1), and no walk.  The walk and the tables charge one running total
-    for the values placed or offered, before they are counted, and a scan
-    stops once its range is over the budget, so more than ``max_work``
-    values are refused before any cap is built and a range before it is
-    passed.  A word reaching the last position places at least
-    ``largest`` - 1 values, so a walk where that passes ``max_work`` is
-    refused before it allocates, even when no word fits.
+    depend only on x and the masks its case reads: the capped mask alone
+    when x drops to ``a`` and ``a`` to the last value, all three when both
+    steps rise, and the capped and one-below masks otherwise.  So
+    :func:`_third_range` sums them over a range in one scan, memoized in a
+    dict of this call keyed by the range and those masks.  The dict is
+    emptied once it holds ``_TABLE_CELLS`` // (n + 1) entries, each keyed
+    by masks of n + 1 bits, so memory is O(``largest`` + n) for the stack
+    plus O(``_TABLE_CELLS``) words, and nothing is kept across calls.  A
+    prefix of two values has one second-to-last range, range(1, n + 1),
+    and no walk.  The walk and the scans charge one running total for the
+    values placed or offered, before they are counted, and a scan stops
+    once its range is over the budget, so more than ``max_work`` values
+    are refused before any cap is built and a range before it is passed.
+    A word reaching the last position places at least ``largest`` - 1
+    values, so a walk where that passes ``max_work`` is refused before it
+    allocates, even when no word fits.
     """
     require_positive(n=n, m=m)
     if not descents:
@@ -331,15 +293,11 @@ def count_prefix(
     if length - 1 > limit:
         raise budget.refusal(_WALK_WORK)
     drop = length - 2 in descents  # x drops to a
-    up = length - 3 in descents  # the word drops to x: x in range(1, u)
-    ahead = up != drop  # a's side of x lies ahead of the scan
-    # what each case reads besides the capped mask: the values at most one
-    # use below their caps and p unless both steps drop, two when both rise
+    # the masks at most one and two uses below their caps, where a case reads them
     one_read = 0 if drop and fall else -1
     two_read = 0 if drop or fall else -1
-    p_read = not (drop and fall)
-    tables: dict[tuple[int, int, int, int], _HandoverSums] = {}
-    most = max(1, _TABLE_CELLS // top)  # the tables kept at once
+    handed: dict[tuple[int, int, int, int, int], tuple[int, int]] = {}
+    most = max(1, _TABLE_CELLS // top)  # the sums kept at once
     last = length - 3  # the last position the walk places
     falls = [False] * length  # falls[p]: the word drops after position p
     for p in descents.elements[:-1]:
@@ -354,30 +312,22 @@ def count_prefix(
     placed = total = 0
     pos = 1
     while pos:
-        if pos > last:  # hand the third-to-last range over to its table
+        if pos > last:  # hand the third-to-last range over
             first, end = lo[pos], hi[pos]
-            reach = end if up else top - first  # the steps that pass the range
             capped, one, two = masks
-            if ahead:
-                key = capped, one & one_read, two & two_read, 0
-            else:  # only the values the scan passes, and p
-                keep = (1 << end) - 1 if up else -1 << first
-                free = n - capped.bit_count() if p_read else 0
-                key = capped & keep, one & keep & one_read, two & keep & two_read, free
-            table = tables.get(key)
-            if table is None:
-                if len(tables) >= most:
-                    tables.clear()
-                table = tables[key] = _HandoverSums(key, top, fall, ahead)
-            counts, charges = table.counts, table.charges
-            if len(counts) <= reach:
-                table.extend(reach, limit - placed, top, up, drop, fall)
-                if len(counts) <= reach:  # stopped short: the range is over budget
-                    raise budget.refusal(_WALK_WORK)
-            placed += charges[reach]
+            key = first, end, capped, one & one_read, two & two_read
+            sums = handed.get(key)
+            if sums is None:
+                if len(handed) >= most:
+                    handed.clear()
+                room = limit - placed
+                sums = _third_range(first, end, key[2:], top, drop, fall, room)
+                handed[key] = sums
+            count, charge = sums
+            placed += charge
             if placed > limit:
                 raise budget.refusal(_WALK_WORK)
-            total += counts[reach]
+            total += count
             pos -= 1
             continue
         value = word[pos]

@@ -10,7 +10,7 @@ import sys
 import time
 from collections import Counter
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -226,22 +226,23 @@ def test_count_prefix_charges_the_last_position():
         ((1, 3), 4, 1, 30),  # m = 1: every second-to-last value caps, least moves
         ((2, 4, 6, 8), 8, 4, 758_639),  # the heaviest count-dense op
         # m = 1: every value starts one use below its cap, and each placement
-        # moves a value from that mask to the capped one; "ahead": a's side
-        # of x lies ahead of the table's scan, "behind": the scan has passed
-        # it and the key keeps only the values scanned
-        ((2, 4, 6), 7, 1, 2317),  # drop then rise, ahead
-        ((2, 3, 4, 6), 8, 1, 2178),  # drop then rise, behind
-        ((2, 5, 6), 7, 1, 1393),  # rise then fall, behind
+        # moves a value from that mask to the capped one; each case is named
+        # by its steps x to a and a to the last value (drop, rise or fall),
+        # and by the end of the alphabet x's range touches: 1 when the word
+        # drops to x, n otherwise
+        ((2, 4, 6), 7, 1, 2317),  # drop then rise, x's range up to n
+        ((2, 3, 4, 6), 8, 1, 2178),  # drop then rise, x's range from 1
+        ((2, 5, 6), 7, 1, 1393),  # rise then fall, x's range up to n
         # m = 2: every value starts two uses below its cap, and each first
         # placement moves it to the one-below mask
         ((2, 4, 5, 6), 8, 2, 13_134),  # drop then fall: the capped mask alone
-        ((3, 4, 6), 8, 2, 10_936),  # drop then rise, behind
-        ((1, 3, 6, 7), 8, 2, 77_350),  # rise then fall, behind
-        ((1, 4, 6, 8), 8, 2, 370_503),  # drop then rise, ahead
+        ((3, 4, 6), 8, 2, 10_936),  # drop then rise, x's range from 1
+        ((1, 3, 6, 7), 8, 2, 77_350),  # rise then fall, x's range up to n
+        ((1, 4, 6, 8), 8, 2, 370_503),  # drop then rise, x's range up to n
         # m = 3, rise then rise: values two uses below their caps at the
         # handover, read by the third mask
-        ((2, 4, 7), 7, 3, 49_701),  # ahead
-        ((2, 7), 8, 3, 36_786),  # behind
+        ((2, 4, 7), 7, 3, 49_701),  # x's range from 1
+        ((2, 7), 8, 3, 36_786),  # x's range up to n
     ],
 )
 def test_count_prefix_refusal_thresholds_are_pinned(elements, n, m, least_work):
@@ -288,21 +289,33 @@ def _walk_charge(ds, caps):
 
 
 def test_walk_charges_match_a_product_reference():
-    # the least max_work that answers is the reference charge, on a whole
-    # grid, for the prefix route
-    for ds in descent_sets_up_to(6):
-        for n in range(1, 5):
-            for m in range(1, 4):
-                if ds.largest >= n * m:
-                    continue  # answered 0 before any walk
-                least_work = _walk_charge(ds, (m,) * n)
-                expected = count_prefix(ds, n, m)
-                assert count_prefix(ds, n, m, EnumerationBudget(least_work)) == expected
-                if least_work > 1:
-                    with pytest.raises(
-                        BudgetExceededError, match=f"max_work = {least_work - 1}$"
-                    ):
-                        count_prefix(ds, n, m, EnumerationBudget(least_work - 1))
+    # the least max_work that answers is the reference charge for the prefix
+    # route, on a whole grid and on sets within {1..7} holding 7 at n = 7,
+    # two for each step pattern of the last three positions, where many
+    # prefixes share the masks a handover's sums are memoized by
+    points = [
+        (ds, n, m)
+        for ds in descent_sets_up_to(6)
+        for n in range(1, 5)
+        for m in range(1, 4)
+        if ds.largest < n * m  # else answered 0 before any walk
+    ]
+    tails = [tail for k in range(4) for tail in combinations((4, 5, 6), k)]
+    points += [
+        (DescentSet((*low, *tail, 7)), 7, m)
+        for low in ((2,), (1, 3))
+        for tail in tails
+        for m in (2, 3)
+    ]
+    for ds, n, m in points:
+        least_work = _walk_charge(ds, (m,) * n)
+        expected = count_prefix(ds, n, m)
+        assert count_prefix(ds, n, m, EnumerationBudget(least_work)) == expected
+        if least_work > 1:
+            with pytest.raises(
+                BudgetExceededError, match=f"max_work = {least_work - 1}$"
+            ):
+                count_prefix(ds, n, m, EnumerationBudget(least_work - 1))
 
 
 @cache
@@ -631,18 +644,18 @@ def test_walks_refuse_a_range_before_working_through_it():
 def test_count_prefix_refuses_a_wide_range_without_scanning_it(elements):
     # a third-to-last range over 10**6 values passes the default budget
     # within a few thousand of them: count_prefix scans each range from the
-    # end where it starts and stops there, whichever side of x a lies on,
-    # rather than passing all 10**6 values first
+    # side a lies on, whichever that is, and stops once its charge passes
+    # the budget, rather than passing all 10**6 values first
     start = time.process_time()
     with pytest.raises(BudgetExceededError, match="max_work = 10000000$"):
         count_prefix(DescentSet(elements), 10**6, 1)
     assert time.process_time() - start < 0.3
 
 
-def test_count_prefix_holds_a_bounded_number_of_tables(run_under_address_limit):
-    # 11,175 handovers over 150 values with m = 1 each read a table of their
-    # own; kept all at once they take over 100 MB, and the per-call dict is
-    # emptied each time it holds _TABLE_CELLS // 151 of them instead
+def test_count_prefix_holds_a_bounded_number_of_range_sums(run_under_address_limit):
+    # 11,175 handovers over 150 values with m = 1 each have a key of their
+    # own, so nothing is reused; the per-call dict of range sums is emptied
+    # each time it holds _TABLE_CELLS // 151 entries, and the call fits in 64 MB
     ds = DescentSet((2, 5))
     code, out, err = run_under_address_limit(
         64, "oracle.count_prefix(DescentSet((2, 5)), 150, 1, "
