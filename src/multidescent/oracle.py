@@ -22,17 +22,18 @@ kept in O(1) a step, and sums what the range counts and charges in one
 scan, memoized for the call.  The walk charges the budget in one unit: 1
 per value placed before the last position, and the size of each last
 range, and it charges the second-to-last ranges a third-to-last range
-holds before it counts them.  The naive count is charged its arrangements,
-and the witness and last-value transfers their entries, before they start.
+holds before it counts them.  The content transfer is charged each layer's
+states before it builds the next, and the witness and last-value transfers
+their entries before they start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import comb
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     BudgetExceededError,
@@ -46,18 +47,19 @@ from .core import (
 @dataclass(frozen=True)
 class EnumerationBudget:
     """The one work cap, a positive ``int`` (nothing is coerced), that every
-    counting route charges in its own unit: full enumeration its
-    arrangements, the prefix walk the values it places or offers to the
-    last position, the witness transfer the C(``largest`` + 2, 3) entries
-    of its layers, the recurrence the (state, T) transitions of all its
-    levels' DPs, each weighted by the 64-bit words of its masks (1 +
-    ``largest`` // 64), the Jacobi-Trudi chain its placements plus, for
-    each state it stores, the 64-bit words of the state's packed key past
-    the first (so the budget bounds the memory its keys take), and
-    coefficient extraction, against the default budget, its closed-form
-    products and difference-table subtractions, as the last-value transfer
-    does its ``largest`` * n entries.  Passing it raises
-    ``BudgetExceededError`` naming ``max_work``."""
+    counting route charges in its own unit: full enumeration the states of
+    its transfer's layers, each times its n offers of the 64-bit words of
+    its key (1 + n * ``m.bit_length()`` // 64), the prefix walk the values
+    it places or offers to the last position, the witness transfer the
+    C(``largest`` + 2, 3) entries of its layers, the recurrence the (state,
+    T) transitions of all its levels' DPs, each weighted by the 64-bit
+    words of its masks (1 + ``largest`` // 64), the Jacobi-Trudi chain its
+    placements plus, for each state it stores, the 64-bit words of the
+    state's packed key past the first (so the budget bounds the memory its
+    keys take), and coefficient extraction, against the default budget,
+    its closed-form products and difference-table subtractions, as the
+    last-value transfer does its ``largest`` * n entries.  Passing it
+    raises ``BudgetExceededError`` naming ``max_work``."""
 
     max_work: int = 10_000_000
 
@@ -74,23 +76,9 @@ _WALK_WORK = "values placed by a word walk"  # what a walk's refusal names
 _TABLE_CELLS = 1 << 16  # count_prefix keeps this many over n + 1 range sums at once
 
 
-def _refuse_arrangements(
-    parts: Iterable[int], budget: EnumerationBudget, work: str
-) -> None:
-    """Refuse a content, its ``parts`` read lazily largest first, once its
-    arrangements pass ``max_work``: each copy placed after the largest part
-    at least doubles the running multinomial, so it takes a few dozen steps."""
-    rest = iter(parts)
-    placed, arrangements = next(rest), 1
-    for c in rest:
-        for j in range(1, c + 1):
-            placed += 1
-            arrangements = arrangements * placed // j
-            if arrangements > budget.max_work:
-                raise budget.refusal(work)
-
-
-def _content_words(parts: tuple[int, ...], drops: set[int]) -> int:
+def _content_words(
+    parts: tuple[int, ...], drops: set[int], budget: EnumerationBudget
+) -> int:
     """Count the words holding value v exactly ``parts[v-1]`` times whose
     strict drops sit exactly at ``drops``, positions before the last.
 
@@ -103,13 +91,28 @@ def _content_words(parts: tuple[int, ...], drops: set[int]) -> int:
     value v's, so a step tests a digit and subtracts one unit from it in
     O(1).  Only two layers are alive at once, and a layer holds no more
     states than there are distinct prefixes of its length.
+
+    Each state is charged, before the next layer is built from it, its
+    ``len(parts)`` offers of w words each, the 64-bit words of the packed
+    key (1 + its bits // 64), so the charge bounds a layer's memory too.  The
+    per-value lists cost one state, and they, or a word longer than
+    ``max_work`` positions, are refused before they are built.
     """
+    k, length = len(parts), sum(parts)
     b = max(parts).bit_length()
-    top = len(parts) + 1
-    unit = [0] + [1 << b * v for v in range(len(parts))]  # unit[v]: one use of v
+    step = k * (1 + k * b // 64)  # a state's charge: its k offers, each of w words
+    work = f"full enumeration of {k} values in {length} positions"
+    spent = step  # the per-value lists, charged as one state
+    if max(length, spent) > budget.max_work:
+        raise budget.refusal(work)
+    top = k + 1
+    unit = [0] + [1 << b * v for v in range(k)]  # unit[v]: one use of v
     digit = [((1 << b) - 1) * u for u in unit]  # digit[v]: the bits of v's uses
     layer = {(sum(c * u for c, u in zip(parts, unit[1:])), 0): 1}
-    for pos in range(sum(parts)):
+    for pos in range(length):
+        spent += len(layer) * step
+        if spent > budget.max_work:
+            raise budget.refusal(work)
         nxt: dict[tuple[int, int], int] = {}
         fall = pos in drops  # the value placed here drops from the last one
         for (left, last), words in layer.items():
@@ -127,23 +130,21 @@ def count_naive(
     """Count words holding each of 1..n exactly m times with this descent set.
 
     Full enumeration: :func:`_content_words` on the content (m,)*n, the
-    drops enforced at every position.  Refuses to start when the n*m cells
-    of one word, or else the (n*m)! / (m!)**n arrangements, exceed the
-    budget's ``max_work``; the one word of n = 1 is answered without a
-    layer, and a set reaching the last position counts 0.
+    drops enforced at every position, charged there.  Refuses to start when
+    the n*m cells of one word exceed the budget's ``max_work``, before the
+    content is built; the one word of n = 1 is answered without a layer,
+    and a set reaching the last position counts 0.
     """
     require_positive(n=n, m=m)
     budget = budget or DEFAULT_BUDGET
     cells = n * m
-    work = f"full enumeration at n = {n}, m = {m}"
     if cells > budget.max_work:
-        raise budget.refusal(work)
+        raise budget.refusal(f"full enumeration at n = {n}, m = {m}")
     if n == 1:
         return int(not descents)  # the one sorted word
-    _refuse_arrangements(repeat(m, n), budget, work)
     if descents and descents.largest >= cells:
         return 0
-    return _content_words((m,) * n, set(descents.elements))
+    return _content_words((m,) * n, set(descents.elements), budget)
 
 
 def _range_work(first: int, end: int, capped: int, fall: bool, top: int) -> int:
@@ -369,16 +370,14 @@ def count_content(parts: Sequence[int], descents: DescentSet) -> int:
     drops must sit exactly at the descent set without its largest element.
     Only the relative order of values matters, so this count is the same for
     any alphabet of ``len(parts)`` values.  Counted by
-    :func:`_content_words`, and refused before it starts when the content's
-    arrangements exceed the default budget.  No counting route or report
-    uses it: only the tests and the bench's ``oracle.count_content`` rows do.
+    :func:`_content_words`, which charges the default budget its layers.
+    No counting route or report uses it: only the tests and the bench's
+    ``oracle.count_content`` rows do.
     """
     parts = strict_ints(parts, "content parts", 1)
     if sum(parts) != descents.largest:
         raise DomainError(f"content sums to {sum(parts)}, expected {descents.largest}")
-    work = f"full enumeration of {len(parts)} values"
-    _refuse_arrangements(sorted(parts, reverse=True), DEFAULT_BUDGET, work)
-    return _content_words(parts, set(descents.elements[:-1]))
+    return _content_words(parts, set(descents.elements[:-1]), DEFAULT_BUDGET)
 
 
 def _check_index(i: int) -> None:

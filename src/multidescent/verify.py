@@ -75,17 +75,17 @@ def descent_sets_up_to(top: int) -> list[DescentSet]:
 
 @_report("four-route agreement")
 def agreement_report(
-    top: int = 6, n_max: int = 6, m_max: int = 3, cells_max: int = 12
+    top: int = 6, n_max: int = 6, m_max: int = 6, cells_max: int = 24
 ) -> Iterator[Check]:
     """All four routes give the same count on the grid.
 
     The enumeration side is one :func:`oracle.count_naive` per (set, n, m),
     a transfer with the set's drops enforced at every position.  The
-    default grid reaches n = 6, 2461 checks.  Every route answers n*m <=
-    largest with 0, but the determinant route is checked only where n*m >
-    largest: the check count at the benchmark's grid (457 at top=4,
-    n_max=4, m_max=3, cells_max=12) is a recorded reference, so the guard
-    stays.
+    default grid reaches n = 6, m = 6 and n*m = 24, 5349 checks.  Every
+    route answers n*m <= largest with 0, but the determinant route is
+    checked only where n*m > largest: the check count at the benchmark's
+    grid (457 at top=4, n_max=4, m_max=3, cells_max=12) is a recorded
+    reference, so the guard stays.
     """
     strict_ints((n_max, m_max, cells_max), "grid bounds", 1)
     for ds in descent_sets_up_to(top):

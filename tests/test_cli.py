@@ -77,8 +77,8 @@ def test_count_skips_inapplicable_routes_in_all_mode(capsys):
     assert [line.split() for line in captured.out.strip().splitlines()] == [
         [name, "1"] for name in cli.ROUTES
     ]
-    # only the budget leaves a route out: naive's 90 arrangements pass 89
-    code = run_cli("count", "--set", "2", "--n", "3", "--m", "2", "--budget", "89")
+    # only the budget leaves a route out: naive's charge of 114 passes 113
+    code = run_cli("count", "--set", "2", "--n", "3", "--m", "2", "--budget", "113")
     captured = capsys.readouterr()
     assert code == cli.EXIT_OK
     assert captured.out.split() == [
@@ -153,21 +153,21 @@ def test_every_route_shares_one_domain(name):
 
 
 def test_count_budget_refusal_and_override(capsys):
-    # {1,1,2,2,3,3} has 90 arrangements
+    # the transfer over {1,1,2,2,3,3} is charged 114
     code = run_cli(
         "count",
         "--set", "2", "--n", "3", "--m", "2",
         "--method", "naive",
-        "--budget", "89",
+        "--budget", "113",
     )
     assert code == cli.EXIT_BUDGET
-    assert "more than max_work = 89" in capsys.readouterr().err
+    assert "more than max_work = 113" in capsys.readouterr().err
 
     code = run_cli(
         "count",
         "--set", "2", "--n", "3", "--m", "2",
         "--method", "naive",
-        "--budget", "90",
+        "--budget", "114",
     )
     assert code == cli.EXIT_OK
     assert capsys.readouterr().out.split()[1] == "5"
@@ -186,28 +186,22 @@ def test_every_route_refuses_a_tiny_budget(name):
         cli.ROUTES[name](DescentSet((2,)), 3, 2, cli.oracle.EnumerationBudget(1))
 
 
-def test_count_naive_refuses_twelve_factorial_at_once():
-    # 12! arrangements passed a cell cap and ran for minutes
-    argv = ["count", "--set", "2", "--n", "12", "--m", "1"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "multidescent", *argv, "--method", "naive"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == cli.EXIT_BUDGET, proc.stderr
-    assert "more than max_work = 10000000" in proc.stderr
+def test_count_naive_refuses_a_growing_transfer_in_bounded_memory():
+    # 77 positions with sparse drops: the layers grow toward 8**11 * 12
+    # states, so only a charge made before each layer is built refuses the
+    # transfer within 256 MB of address space
+    resource = pytest.importorskip("resource")
+    cap = 256 * 2**20
+    argv = ["count", "--set", "1,5,9", "--n", "11", "--m", "7", "--method", "naive"]
     proc = subprocess.run(
         [sys.executable, "-m", "multidescent", *argv],
         capture_output=True,
         text=True,
         timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
-    assert proc.returncode == cli.EXIT_OK, proc.stderr
-    assert proc.stdout.split() == [
-        "prefix", "65", "recurrence", "65", "jacobi-trudi", "65"
-    ]
-    assert "naive: skipped" in proc.stderr
+    assert proc.returncode == cli.EXIT_BUDGET, proc.stderr
+    assert "more than max_work = 10000000" in proc.stderr
 
 
 def test_count_jacobi_trudi_charges_the_budget(capsys):
@@ -602,12 +596,12 @@ _GOLDEN = {
         b'',
     ),
     "count-skips-naive": (
-        "count --set 2 --n 12 --m 1",
+        "count --set 2 --n 3000 --m 1",
         0,
-        b'prefix       65\n'
-        b'recurrence   65\n'
-        b'jacobi-trudi 65\n',
-        b'naive: skipped (full enumeration at n = 12, m = 1,'
+        b'prefix       4498499\n'
+        b'recurrence   4498499\n'
+        b'jacobi-trudi 4498499\n',
+        b'naive: skipped (full enumeration of 3000 values in 3000 positions,'
         b' more than max_work = 10000000)\n',
     ),
     "dinf-text": (

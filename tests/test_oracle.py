@@ -74,14 +74,19 @@ def test_count_naive_descent_beyond_word_is_zero():
 
 
 def test_count_naive_budget_refusal_names_the_bound():
-    # {1,1,2,2,3,3} has 6!/2!**3 = 90 arrangements
-    with pytest.raises(BudgetExceededError, match="max_work = 89"):
-        count_naive(DescentSet((2,)), 3, 2, budget=EnumerationBudget(89))
-    assert count_naive(DescentSet((2,)), 3, 2, budget=EnumerationBudget(90)) == 5
-    # 12! arrangements, and one word of 10**11 cells, refused before any work
-    refused = "full enumeration at n = 12, m = 1, more than max_work = 10000000"
+    # {1,1,2,2,3,3} under {2}: the per-value lists and the layers of 1, 3,
+    # 6, 8, 13 and 6 states, 38 in all, each charged its 3 offers of one word
+    with pytest.raises(BudgetExceededError, match="max_work = 113"):
+        count_naive(DescentSet((2,)), 3, 2, budget=EnumerationBudget(113))
+    assert count_naive(DescentSet((2,)), 3, 2, budget=EnumerationBudget(114)) == 5
+    # a second layer of 3000 states, each of 3000 offers of 47 words, and
+    # one word of 10**11 cells, refused before any work
+    refused = (
+        "full enumeration of 3000 values in 3000 positions, "
+        "more than max_work = 10000000"
+    )
     with pytest.raises(BudgetExceededError, match=refused):
-        count_naive(DescentSet((2,)), 12, 1)
+        count_naive(DescentSet((2,)), 3000, 1)
     with pytest.raises(BudgetExceededError, match="max_work = 10000000"):
         count_naive(DescentSet((5,)), 1, 10**11)
 
@@ -157,12 +162,24 @@ def test_count_naive_agrees_with_count_prefix(elements, size):
 
 
 @pytest.mark.parametrize(
-    "elements,n,m", [((2, 5), 2, 8), ((2,), 3, 5)], ids=["12870", "756756"]
+    "elements,n,m",
+    [
+        ((2, 5), 2, 8),
+        ((2,), 3, 5),
+        ((2,), 12, 1),
+        ((3,), 3, 6),
+        ((2, 4, 6, 8, 10), 3, 6),
+        ((2, 4, 6, 8), 3, 30),
+        ((2, 4, 6, 8, 10, 12), 4, 10),
+    ],
+    ids=["12870", "756756", "2-12-1", "3-3-6", "2-10-3-6", "2-8-3-30", "2-12-4-10"],
 )
-def test_count_naive_charges_arrangements_not_cells(elements, n, m):
-    # more than 12 cells, few enough arrangements for the default budget
+def test_count_naive_charges_its_layers_not_arrangements(elements, n, m):
+    # the first two contents have 12870 and 756756 arrangements; the others
+    # have 12! to 90!/30!**3, past the default budget, but the transfer's
+    # layers stay within it, charged 117,336 at most
     ds = DescentSet(elements)
-    assert count_naive(ds, n, m) == count_prefix(ds, n, m)
+    assert count_naive(ds, n, m) == count_via_jacobi_trudi(ds, n, m)
 
 
 @pytest.mark.parametrize("cap", ["max_total_cells", "max_prefix_states"])
@@ -610,7 +627,8 @@ def test_walks_refuse_a_huge_alphabet_or_word_before_allocating():
     # transfer is charged its 2 * 10**7 entries before it builds one, the
     # 2001 transfers of a witness table their 4 * 10**9 entries before the
     # first runs, the witness transfer its C(10**12 + 2, 3) entries before
-    # it builds any, and a content of 12! arrangements before its transfer
+    # it builds any, a content transfer a word of 10**12 positions before
+    # its per-value lists, and a layer of 3000 states before it is built
     huge = DescentSet((10**12,))
     for call in (
         lambda: count_prefix(huge, 2, 10**12),
@@ -619,7 +637,8 @@ def test_walks_refuse_a_huge_alphabet_or_word_before_allocating():
         lambda: witness_counts(huge),
         lambda: count_last_fixed(huge, 3, 2),
         lambda: last_value_counts(DescentSet((2,)), 10**7),
-        lambda: count_content((1,) * 12, DescentSet((12,))),
+        lambda: count_content((10**12,), DescentSet((10**12,))),
+        lambda: count_naive(DescentSet((2,)), 3000, 1),
         lambda: count_coeff_witnesses(DescentSet((2000,)), 2000),
     ):
         start = time.process_time()
@@ -663,6 +682,27 @@ def test_count_prefix_holds_a_bounded_number_of_range_sums(run_under_address_lim
     )
     assert code == 0, err
     assert out.split() == [str(count_via_jacobi_trudi(ds, 150, 1))]
+
+
+def test_count_prefix_rescans_the_range_sums_its_bound_dropped(monkeypatch):
+    # 315 distinct handovers at ({2,4,6,8}, 8, 3) are each scanned once with
+    # the default table; with room for 2 sums the dict is emptied again and
+    # again, and the same handovers are scanned 4118 times for the same count
+    real = oracle._third_range
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_third_range", counted)
+    ds = DescentSet((2, 4, 6, 8))
+    assert count_prefix(ds, 8, 3) == 553888
+    assert len(scans) == 315
+    scans.clear()
+    monkeypatch.setattr(oracle, "_TABLE_CELLS", 2 * 9)
+    assert count_prefix(ds, 8, 3) == 553888
+    assert len(scans) == 4118
 
 
 @pytest.mark.parametrize(

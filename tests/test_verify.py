@@ -87,7 +87,7 @@ def test_walk_reports_check_their_default_grids_in_their_recorded_order(
 
 def test_agreement_report_default_grid_is_wider_than_the_bench_grid():
     report = verify.agreement_report()
-    assert len(report.checks) == 2461
+    assert len(report.checks) == 5349
     assert report.passed
 
 
