@@ -18,13 +18,12 @@ lists the prefixes of the words with a prescribed drop pattern and
 per-value caps on an explicit stack, without merging them, and stops three
 positions short: it hands each third-to-last range over with three bit
 masks, of the values at most zero, one and two uses below their caps, each
-kept in O(1) a step, and sums what the range counts and charges in one
-scan, memoized for the call.  The walk charges the budget in one unit: 1
-per value placed before the last position, and the size of each last
-range, and it charges the second-to-last ranges a third-to-last range
-holds before it counts them.  The content transfer is charged each layer's
-states before it builds the next, and the witness and last-value transfers
-their entries before they start.
+kept in O(1) a step, and sums what the range counts in one scan, memoized
+for the call.  The walk charges the budget in one unit, weighted by the
+64-bit words of a mask: 1 per value it places, and 1 per free value of
+each third-to-last range it hands over, before the range is counted.  The
+content transfer is charged each layer's states before it builds the next,
+and the witness and last-value transfers their entries before they start.
 """
 
 from __future__ import annotations
@@ -50,10 +49,11 @@ class EnumerationBudget:
     counting route charges in its own unit: full enumeration the states of
     its transfer's layers, each times its n offers of the 64-bit words of
     its key (1 + n * ``m.bit_length()`` // 64), the prefix walk the values
-    it places or offers to the last position, the witness transfer the
-    C(``largest`` + 2, 3) entries of its layers, the recurrence the (state,
-    T) transitions of all its levels' DPs, each weighted by the 64-bit
-    words of its masks (1 + ``largest`` // 64), the Jacobi-Trudi chain its
+    it places and the free values of the third-to-last ranges it hands
+    over, the recurrence the (state, T) transitions of all its levels' DPs,
+    both weighted by the 64-bit words of their masks (1 + n // 64 and 1 +
+    ``largest`` // 64), the witness transfer the C(``largest`` + 2, 3)
+    entries of its layers, the Jacobi-Trudi chain its
     placements plus, for each state it stores, the 64-bit words of the
     state's packed key past the first (so the budget bounds the memory its
     keys take), and coefficient extraction, against the default budget,
@@ -73,7 +73,20 @@ class EnumerationBudget:
 
 DEFAULT_BUDGET = EnumerationBudget()
 _WALK_WORK = "values placed by a word walk"  # what a walk's refusal names
-_TABLE_CELLS = 1 << 16  # count_prefix keeps this many over n + 1 range sums at once
+_CONTENT_WORK = "full enumeration of {} values in {} positions"  # a content refusal
+_TABLE_CELLS = 1 << 16  # count_prefix keeps this many over n + 1 range counts at once
+
+
+def _content_step(k: int, length: int, b: int, budget: EnumerationBudget) -> int:
+    """The charge of one state of a content transfer of k values in
+    ``length`` positions: its k offers, each of the 64-bit words of a key of
+    k digits of b bits.  The per-value lists cost one state, and they, or a
+    word longer than ``max_work`` positions, are refused here, before the
+    content or the lists are built."""
+    step = k * (1 + k * b // 64)
+    if max(length, step) > budget.max_work:
+        raise budget.refusal(_CONTENT_WORK.format(k, length))
+    return step
 
 
 def _content_words(
@@ -96,15 +109,12 @@ def _content_words(
     ``len(parts)`` offers of w words each, the 64-bit words of the packed
     key (1 + its bits // 64), so the charge bounds a layer's memory too.  The
     per-value lists cost one state, and they, or a word longer than
-    ``max_work`` positions, are refused before they are built.
+    ``max_work`` positions, are refused by :func:`_content_step` before
+    they are built.
     """
     k, length = len(parts), sum(parts)
     b = max(parts).bit_length()
-    step = k * (1 + k * b // 64)  # a state's charge: its k offers, each of w words
-    work = f"full enumeration of {k} values in {length} positions"
-    spent = step  # the per-value lists, charged as one state
-    if max(length, spent) > budget.max_work:
-        raise budget.refusal(work)
+    step = spent = _content_step(k, length, b, budget)  # the lists: one state
     top = k + 1
     unit = [0] + [1 << b * v for v in range(k)]  # unit[v]: one use of v
     digit = [((1 << b) - 1) * u for u in unit]  # digit[v]: the bits of v's uses
@@ -112,7 +122,7 @@ def _content_words(
     for pos in range(length):
         spent += len(layer) * step
         if spent > budget.max_work:
-            raise budget.refusal(work)
+            raise budget.refusal(_CONTENT_WORK.format(k, length))
         nxt: dict[tuple[int, int], int] = {}
         fall = pos in drops  # the value placed here drops from the last one
         for (left, last), words in layer.items():
@@ -131,9 +141,10 @@ def count_naive(
 
     Full enumeration: :func:`_content_words` on the content (m,)*n, the
     drops enforced at every position, charged there.  Refuses to start when
-    the n*m cells of one word exceed the budget's ``max_work``, before the
-    content is built; the one word of n = 1 is answered without a layer,
-    and a set reaching the last position counts 0.
+    the n*m cells of one word exceed the budget's ``max_work``, or the
+    per-value lists of the transfer do, before the content is built; the
+    one word of n = 1 is answered without a layer, and a set reaching the
+    last position counts 0.
     """
     require_positive(n=n, m=m)
     budget = budget or DEFAULT_BUDGET
@@ -144,24 +155,8 @@ def count_naive(
         return int(not descents)  # the one sorted word
     if descents and descents.largest >= cells:
         return 0
+    _content_step(n, cells, m.bit_length(), budget)
     return _content_words((m,) * n, set(descents.elements), budget)
-
-
-def _range_work(first: int, end: int, capped: int, fall: bool, top: int) -> int:
-    """The charge of a second-to-last range(first, end): for each value a
-    below its cap, a after a drop to the last value and 1 + top - a after
-    an ascent, which is 1 for placing a plus the size of a's last range."""
-    if fall:
-        work = (first + end - 1) * (end - first) // 2
-    else:
-        work = (2 * top + 3 - first - end) * (end - first) // 2
-    rest = capped & ((1 << end) - (1 << first))
-    while rest:  # less the charges of the capped values
-        low = rest & -rest
-        a = low.bit_length() - 1
-        work -= a if fall else 1 + top - a
-        rest ^= low
-    return work
 
 
 def _third_range(
@@ -171,48 +166,41 @@ def _third_range(
     top: int,
     drop: bool,
     fall: bool,
-    room: int,
-) -> tuple[int, int]:
+) -> int:
     """What :func:`count_prefix`'s third-to-last values x of range(first,
-    end) count and are charged, summed over x under the walk's ``masks``.
+    end) count, summed over x under the walk's ``masks``.
 
     x's count reads the free values on a's side of x (below x after a drop
-    to a, above x otherwise): their number r, those one use below the cap h,
-    and their charges s.  The scan starts on a's side, with r, h and s
-    seeded by the values beyond the range there, and adds each free x it
-    passes.  A free value's rank is the number of free values below it, so
-    x's range is counted as sums of ranks.  The scan stops once the charge
-    passes ``room``, which the handover is refused for.
+    to a, above x otherwise): their number r and those one use below the
+    cap h.  The scan starts on a's side, with r and h seeded by the values
+    beyond the range there, and adds each free x it passes.  A free value's
+    rank is the number of free values below it, so x's range is counted as
+    sums of ranks.
     """
     capped, one, two = masks
     p = top - 1 - capped.bit_count()  # the free values
     if drop:  # a's side lies below x: scan up, past the values below first
         beyond = (1 << first) - 2
         xs = range(first, end)
-        s = _range_work(1, first, capped, fall, top)
     else:  # a's side lies above x: scan down, past the values from end up
         beyond = (1 << top) - (1 << end)
         xs = range(end - 1, first - 1, -1)
-        s = _range_work(end, top, capped, fall, top)
     beyond &= ~capped
     r, h = beyond.bit_count(), (beyond & one).bit_count()
     span = (1 << end - first) - 1  # the masks' bits of the range: a step is O(1)
     capped, one, two = capped >> first & span, one >> first & span, two >> first & span
-    count = charge = 0
+    count = 0
     for x in xs:
         j = x - first
         if capped >> j & 1:
             continue
         k = one >> j & 1  # x fills its cap
-        w = x if fall else top + 1 - x  # x's charge as a second-to-last value
         if drop:  # a in range(1, x): ranks 0..r-1
-            charge += 1 + s
             if fall:  # each a's rank, less 1 unless a is least
                 count += r * (r - 1) // 2 - r + (r > 0)
             else:  # the free values from a up, less a if it fills, less least
                 count += r * (p - k) - r * (r - 1) // 2 - h - (r > 0)
         else:  # a in range(x, top): x and the r free values above it
-            charge += 1 + s + (not k) * w
             c = r + 1 - k  # the free values of range(x, top) once x is placed
             below = p - r - 1  # the free values below x
             ranks = c * below + c * (c - 1) // 2
@@ -222,10 +210,8 @@ def _third_range(
             else:  # x is one use below its cap once placed when two below
                 twice = not k and two >> j & 1
                 count += c * (p - k) - ranks - h - twice - least
-        if charge > room:
-            break
-        r, h, s = r + 1, h + k, s + w
-    return count, charge
+        r, h = r + 1, h + k
+    return count
 
 
 def count_prefix(
@@ -254,24 +240,27 @@ def count_prefix(
     The rule: each second-to-last value ``a`` counts the free values (those
     below their caps once ``a`` is placed) of its last range, range(1, a)
     after a drop or range(a, n + 1) after an ascent, less the least free
-    value if it lies there.  What a third-to-last value ``x`` counts, and
-    what it is charged, 1 plus the charge of its second-to-last range,
-    depend only on x and the masks its case reads: the capped mask alone
+    value if it lies there.  What a third-to-last value ``x`` counts
+    depends only on x and the masks its case reads: the capped mask alone
     when x drops to ``a`` and ``a`` to the last value, all three when both
     steps rise, and the capped and one-below masks otherwise.  So
-    :func:`_third_range` sums them over a range in one scan, memoized in a
-    dict of this call keyed by the range and those masks.  The dict is
+    :func:`_third_range` sums the counts of a range in one scan, memoized
+    in a dict of this call keyed by the range and those masks.  The dict is
     emptied once it holds ``_TABLE_CELLS`` // (n + 1) entries, each keyed
     by masks of n + 1 bits, so memory is O(``largest`` + n) for the stack
     plus O(``_TABLE_CELLS``) words, and nothing is kept across calls.  A
     prefix of two values has one second-to-last range, range(1, n + 1),
-    and no walk.  The walk and the scans charge one running total for the
-    values placed or offered, before they are counted, and a scan stops
-    once its range is over the budget, so more than ``max_work`` values
-    are refused before any cap is built and a range before it is passed.
-    A word reaching the last position places at least ``largest`` - 1
-    values, so a walk where that passes ``max_work`` is refused before it
-    allocates, even when no word fits.
+    and is counted without a walk.
+
+    The walk charges one running total for the work it does, each unit
+    weighted by the 1 + n // 64 words of a mask: a unit for each value it
+    places, and one for each free value of a third-to-last range it hands
+    over, charged before the dict is read or the range scanned.  So a
+    refusal depends on the input alone, not on what the dict holds, and a
+    range is refused before it is scanned.  An alphabet of more than
+    ``max_work`` values is refused before any cap is built, and a
+    ``largest`` - 1 over it before the per-position lists are, even when
+    no word fits.
     """
     require_positive(n=n, m=m)
     if not descents:
@@ -288,16 +277,15 @@ def count_prefix(
     top = n + 1
     fall = length - 1 in descents  # a drops to the last value
     if length == 2:  # all n values free: ranks 0..n-1, least 1, none capped
-        if _range_work(1, top, 0, fall, top) > limit:
-            raise budget.refusal(_WALK_WORK)
         return (n - 1) * (n - 2) // 2 if fall else n * top // 2 - 1 - (m == 1) * n
     if length - 1 > limit:
         raise budget.refusal(_WALK_WORK)
+    cost = 1 + n // 64  # a unit's charge: the 64-bit words of a mask
     drop = length - 2 in descents  # x drops to a
     # the masks at most one and two uses below their caps, where a case reads them
     one_read = 0 if drop and fall else -1
     two_read = 0 if drop or fall else -1
-    handed: dict[tuple[int, int, int, int, int], tuple[int, int]] = {}
+    handed: dict[tuple[int, int, int, int, int], int] = {}
     most = max(1, _TABLE_CELLS // top)  # the sums kept at once
     last = length - 3  # the last position the walk places
     falls = [False] * length  # falls[p]: the word drops after position p
@@ -316,18 +304,15 @@ def count_prefix(
         if pos > last:  # hand the third-to-last range over
             first, end = lo[pos], hi[pos]
             capped, one, two = masks
-            key = first, end, capped, one & one_read, two & two_read
-            sums = handed.get(key)
-            if sums is None:
-                if len(handed) >= most:
-                    handed.clear()
-                room = limit - placed
-                sums = _third_range(first, end, key[2:], top, drop, fall, room)
-                handed[key] = sums
-            count, charge = sums
-            placed += charge
+            placed += (((1 << end) - (1 << first)) & ~capped).bit_count() * cost
             if placed > limit:
                 raise budget.refusal(_WALK_WORK)
+            key = first, end, capped, one & one_read, two & two_read
+            count = handed.get(key)
+            if count is None:
+                if len(handed) >= most:
+                    handed.clear()
+                count = handed[key] = _third_range(first, end, key[2:], top, drop, fall)
             total += count
             pos -= 1
             continue
@@ -347,7 +332,7 @@ def count_prefix(
             word[pos] = 0
             pos -= 1
             continue
-        placed += 1
+        placed += cost
         if placed > limit:
             raise budget.refusal(_WALK_WORK)
         d = left[value] - 1

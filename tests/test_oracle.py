@@ -227,7 +227,8 @@ def test_count_prefix_budget_cap():
 
 
 def test_count_prefix_charges_the_last_position():
-    # a one-position prefix: the walk's only work is the five last values
+    # a one-position prefix is counted without a walk, charged only its
+    # alphabet of five values
     with pytest.raises(BudgetExceededError, match="max_work = 4"):
         count_prefix(DescentSet((1,)), 5, 1, EnumerationBudget(4))
     assert count_prefix(DescentSet((1,)), 5, 1, EnumerationBudget(5)) == 4
@@ -236,34 +237,35 @@ def test_count_prefix_charges_the_last_position():
 @pytest.mark.parametrize(
     "elements,n,m,least_work",
     [
-        ((1,), 5, 1, 5),  # no second-to-last position: one last range
-        ((2,), 3, 2, 9),  # the second-to-last position is the first
-        ((3, 4), 4, 2, 69),  # the last step drops
-        ((2, 4), 4, 2, 99),  # the last step ascends
-        ((1, 3), 4, 1, 30),  # m = 1: every second-to-last value caps, least moves
-        ((2, 4, 6, 8), 8, 4, 758_639),  # the heaviest count-dense op
+        ((1,), 5, 1, 5),  # no walk: the alphabet alone
+        ((2,), 3, 2, 3),  # no walk: the second-to-last position is the first
+        ((3, 4), 4, 2, 14),  # the last step drops
+        ((2, 4), 4, 2, 14),  # the last step ascends
+        ((1, 3), 4, 1, 4),  # nothing placed: range(1, n + 1) handed over
+        ((2, 4, 6, 8), 8, 4, 29_990),  # the heaviest count-dense op
         # m = 1: every value starts one use below its cap, and each placement
         # moves a value from that mask to the capped one; each case is named
         # by its steps x to a and a to the last value (drop, rise or fall),
         # and by the end of the alphabet x's range touches: 1 when the word
         # drops to x, n otherwise
-        ((2, 4, 6), 7, 1, 2317),  # drop then rise, x's range up to n
-        ((2, 3, 4, 6), 8, 1, 2178),  # drop then rise, x's range from 1
-        ((2, 5, 6), 7, 1, 1393),  # rise then fall, x's range up to n
+        ((2, 4, 6), 7, 1, 273),  # drop then rise, x's range up to n
+        ((2, 3, 4, 6), 8, 1, 358),  # drop then rise, x's range from 1
+        ((2, 5, 6), 7, 1, 273),  # rise then fall, x's range up to n
         # m = 2: every value starts two uses below its cap, and each first
         # placement moves it to the one-below mask
-        ((2, 4, 5, 6), 8, 2, 13_134),  # drop then fall: the capped mask alone
-        ((3, 4, 6), 8, 2, 10_936),  # drop then rise, x's range from 1
-        ((1, 3, 6, 7), 8, 2, 77_350),  # rise then fall, x's range up to n
-        ((1, 4, 6, 8), 8, 2, 370_503),  # drop then rise, x's range up to n
+        ((2, 4, 5, 6), 8, 2, 1122),  # drop then fall: the capped mask alone
+        ((3, 4, 6), 8, 2, 730),  # drop then rise, x's range from 1
+        ((1, 3, 6, 7), 8, 2, 4726),  # rise then fall, x's range up to n
+        ((1, 4, 6, 8), 8, 2, 16_990),  # drop then rise, x's range up to n
         # m = 3, rise then rise: values two uses below their caps at the
         # handover, read by the third mask
-        ((2, 4, 7), 7, 3, 49_701),  # x's range from 1
-        ((2, 7), 8, 3, 36_786),  # x's range up to n
+        ((2, 4, 7), 7, 3, 2849),  # x's range from 1
+        ((2, 7), 8, 3, 4650),  # x's range up to n
     ],
 )
 def test_count_prefix_refusal_thresholds_are_pinned(elements, n, m, least_work):
-    # the least max_work that answers, one value placed or offered a unit
+    # the least max_work that answers, one value placed or one free value of
+    # a third-to-last range handed over a unit
     ds = DescentSet(elements)
     expected = count_via_jacobi_trudi(ds, n, m)
     assert count_prefix(ds, n, m, EnumerationBudget(least_work)) == expected
@@ -272,44 +274,44 @@ def test_count_prefix_refusal_thresholds_are_pinned(elements, n, m, least_work):
 
 
 def _walk_charge(ds, caps):
-    """Independent reference for a word walk's charge: 1 for each partial
-    word of length 1..max(I) - 2 that keeps the caps and the drops of I
-    minus max(I), listed by ``itertools.product``, and for each one of
-    length max(I) - 2, each value a of its second-to-last range below its
-    cap: a before a drop to the last value, else len(caps) + 2 - a.  A
-    word of one value is charged its whole alphabet.  A budget below
-    max(I) - 1 is refused before the walk starts, even when no word fits."""
-    d, top = ds.largest, len(caps) + 1
-    if d == 1:
-        return len(caps)
+    """Independent reference for the prefix walk's charge: 1 for each
+    partial word of length 1..max(I) - 3 that keeps the caps and the drops
+    of I minus max(I), listed by ``itertools.product``, and for each one of
+    length max(I) - 3, or the empty word when max(I) = 3, the values below
+    their caps in its third-to-last range: range(1, w[-1]) before a drop,
+    range(w[-1], n + 1) otherwise, all of 1..n after the empty word.  Each
+    unit costs 1 + n // 64.  A budget below n is refused before the walk
+    starts, and one below max(I) - 1 too from max(I) = 3, even when no word
+    fits; below that no walk is made."""
+    d, n = ds.largest, len(caps)
+    if d < 3:
+        return n
     drops = set(ds.elements[:-1])
     charge = 0
-    for length in range(d - 1):
-        for w in product(range(1, top), repeat=length):
+    for length in range(d - 2):
+        for w in product(range(1, n + 1), repeat=length):
             if any(w.count(v) > caps[v - 1] for v in w) or any(
                 (w[i - 1] > w[i]) != (i in drops) for i in range(1, length)
             ):
                 continue
             charge += length > 0  # the empty word places nothing
-            if length < d - 2:
+            if length < d - 3:
                 continue
             if not w:
-                second = range(1, top)
+                third = range(1, n + 1)
             elif length in drops:
-                second = range(1, w[-1])
+                third = range(1, w[-1])
             else:
-                second = range(w[-1], top)
-            for a in second:
-                if w.count(a) < caps[a - 1]:
-                    charge += a if d - 1 in drops else 1 + top - a
-    return max(charge, d - 1)
+                third = range(w[-1], n + 1)
+            charge += sum(w.count(x) < caps[x - 1] for x in third)
+    return max(charge * (1 + n // 64), n, d - 1)
 
 
 def test_walk_charges_match_a_product_reference():
     # the least max_work that answers is the reference charge for the prefix
     # route, on a whole grid and on sets within {1..7} holding 7 at n = 7,
     # two for each step pattern of the last three positions, where many
-    # prefixes share the masks a handover's sums are memoized by
+    # prefixes share the masks a handover's counts are memoized by
     points = [
         (ds, n, m)
         for ds in descent_sets_up_to(6)
@@ -628,7 +630,9 @@ def test_walks_refuse_a_huge_alphabet_or_word_before_allocating():
     # 2001 transfers of a witness table their 4 * 10**9 entries before the
     # first runs, the witness transfer its C(10**12 + 2, 3) entries before
     # it builds any, a content transfer a word of 10**12 positions before
-    # its per-value lists, and a layer of 3000 states before it is built
+    # its per-value lists, per-value lists of 10**7 values before the
+    # content of 10**7 values is built, and a layer of 3000 states before
+    # it is built
     huge = DescentSet((10**12,))
     for call in (
         lambda: count_prefix(huge, 2, 10**12),
@@ -639,6 +643,7 @@ def test_walks_refuse_a_huge_alphabet_or_word_before_allocating():
         lambda: last_value_counts(DescentSet((2,)), 10**7),
         lambda: count_content((10**12,), DescentSet((10**12,))),
         lambda: count_naive(DescentSet((2,)), 3000, 1),
+        lambda: count_naive(DescentSet((2,)), 10**7, 1),
         lambda: count_coeff_witnesses(DescentSet((2000,)), 2000),
     ):
         start = time.process_time()
@@ -647,24 +652,25 @@ def test_walks_refuse_a_huge_alphabet_or_word_before_allocating():
         assert time.process_time() - start < 0.1
 
 
-def test_walks_refuse_a_range_before_working_through_it():
-    # each first range alone is over the default budget, and it is charged
-    # before a word of it is counted, so the refusal comes at once however
-    # wide the alphabet; a witness index past max(I) walks only the values
-    # a word can hold, and reads 0
-    over = "max_work = 10000000"
-    for ds in (DescentSet((2,)), DescentSet((1, 2))):
-        with pytest.raises(BudgetExceededError, match=over):
-            count_prefix(ds, 10**6, 1)
+def test_walks_answer_a_two_value_prefix_over_a_wide_alphabet():
+    # a prefix of two values is counted without a walk, so the answer comes
+    # at once however wide the alphabet; a witness index past max(I) walks
+    # only the values a word can hold, and reads 0
+    for elements, expected in (((2,), 499999499999), ((1, 2), 499998500001)):
+        ds = DescentSet(elements)
+        start = time.process_time()
+        assert count_prefix(ds, 10**6, 1) == expected
+        assert time.process_time() - start < 0.1
+        assert count_via_jacobi_trudi(ds, 10**6, 1) == expected
         assert count_coeff_witnesses(ds, 10**5) == 0
 
 
 @pytest.mark.parametrize("elements", [(4,), (1, 4), (2, 4), (3, 4), (2, 3, 5)])
 def test_count_prefix_refuses_a_wide_range_without_scanning_it(elements):
-    # a third-to-last range over 10**6 values passes the default budget
-    # within a few thousand of them: count_prefix scans each range from the
-    # side a lies on, whichever that is, and stops once its charge passes
-    # the budget, rather than passing all 10**6 values first
+    # a third-to-last range over 10**6 values, each free value charged the
+    # 15,626 words of a mask, is over the default budget: count_prefix
+    # charges each range before it reads the dict or scans it, whichever
+    # side a lies on, so it is refused without passing its 10**6 values
     start = time.process_time()
     with pytest.raises(BudgetExceededError, match="max_work = 10000000$"):
         count_prefix(DescentSet(elements), 10**6, 1)
@@ -682,6 +688,18 @@ def test_count_prefix_holds_a_bounded_number_of_range_sums(run_under_address_lim
     )
     assert code == 0, err
     assert out.split() == [str(count_via_jacobi_trudi(ds, 150, 1))]
+
+
+def test_count_prefix_refuses_at_a_budget_its_table_does_not_move(monkeypatch):
+    # each handover is charged before the dict of range counts is read, so
+    # the least max_work that answers is the same when the dict keeps room
+    # for 2 counts and scans the same handovers 4118 times instead of 315
+    ds = DescentSet((2, 4, 6, 8))
+    for cells in (oracle._TABLE_CELLS, 2 * 9):
+        monkeypatch.setattr(oracle, "_TABLE_CELLS", cells)
+        assert count_prefix(ds, 8, 3, EnumerationBudget(29_598)) == 553888
+        with pytest.raises(BudgetExceededError, match="max_work = 29597$"):
+            count_prefix(ds, 8, 3, EnumerationBudget(29_597))
 
 
 def test_count_prefix_rescans_the_range_sums_its_bound_dropped(monkeypatch):
